@@ -4,7 +4,8 @@
 //! section and a normalizing HLU script — twice: once under the naive
 //! reference engine (full-set scans, round-based closures, memo caches
 //! bypassed) and once under the indexed engine (literal-occurrence
-//! lists, signatures, semi-naive worklists, interned-key memoization).
+//! lists, signatures, semi-naive worklists, memos keyed on whole inputs,
+//! the factored `combine` and the one-index `mask`).
 //! The per-section metric deltas of both sides go to `BENCH_index.json`
 //! as the `index_comparison` document, with a `summary` of the headline
 //! op-cost counters.
@@ -53,7 +54,6 @@ fn main() {
         ("blu.genmask.assignments", true),
         ("logic.dpll.solves", true),
         ("logic.index.sig_prunes", false),
-        ("logic.cache.state_mutations", false),
     ];
 
     let mut summary_pairs = Vec::new();

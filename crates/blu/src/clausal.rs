@@ -7,6 +7,25 @@
 //! improvements are exactly the "correctness-preserving optimizations"
 //! §4 alludes to (tautology elimination and subsumption reduction).
 //!
+//! With reduction on, under [`EngineMode::Indexed`], two of the
+//! operators also do only the work the update changes. Both return the
+//! same set as the reduced algorithm as written; [`EngineMode::Naive`]
+//! keeps the algorithm as written, which is the differential oracle.
+//!
+//! * **Factored `combine`** (the Θ(L₁×L₂) term of Theorem 2.3.4(b)).
+//!   With `C = Φ₁ ∩ Φ₂`, `A = Φ₁ ∖ C` and `B = Φ₂ ∖ C`,
+//!   `reduce(combine(Φ₁, Φ₂)) = reduce(C ∪ combine(A, B))`: each
+//!   `c ∨ c` is `c`, and every other product `c ∨ z` with `c ∈ C` is
+//!   subsumed by `c`. `modify` and `where` build both inputs from the
+//!   same state, so `C` is most of it and the product shrinks to the
+//!   residues.
+//! * **One index across `mask` letters** (Theorem 2.3.6(b)). The state
+//!   is indexed once, subsumption-reduced; each letter then removes the
+//!   clauses mentioning it from the occurrence lists and inserts their
+//!   pairwise resolvents with subsumption. That is
+//!   `reduce(drop({A}, rclosure(Φ, {A})))` per letter without re-cloning
+//!   and re-indexing the whole state for each one.
+//!
 //! Complexity (Theorems 2.3.4(b), 2.3.6(b), 2.3.9(b)) — reproduced by the
 //! `pwdb-bench` experiments E1–E5:
 //!
@@ -23,20 +42,18 @@ use std::sync::OnceLock;
 
 use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
-use pwdb_logic::intern::{set_key, ClauseId};
-use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom};
-use pwdb_logic::{AtomId, Clause, ClauseSet, Literal};
+use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom, resolvent};
+use pwdb_logic::{engine_mode, AtomId, Clause, ClauseSet, EngineMode, IndexedClauseSet, Literal};
 use pwdb_metrics::{counter, histogram, timer};
 use pwdb_trace::span;
 
 use crate::eval::BluSemantics;
 
-/// The genmask memo: keyed on (strategy, interned id sequence of the
-/// input), since the two strategies decide the same set but the key must
-/// not conflate them while one is being validated against the other.
-/// Pure — genmask is a function of the state — bounded, and bypassed
-/// under the naive engine.
-type GenmaskMemo = MemoCache<(u8, Box<[ClauseId]>), BTreeSet<AtomId>>;
+/// The genmask memo: keyed on (strategy, input set), since the two
+/// strategies decide the same set but the key must not conflate them
+/// while one is being validated against the other. Pure — genmask is a
+/// function of the state — bounded, and bypassed under the naive engine.
+type GenmaskMemo = MemoCache<(u8, ClauseSet), BTreeSet<AtomId>>;
 
 fn genmask_cache() -> &'static GenmaskMemo {
     static CACHE: OnceLock<&'static GenmaskMemo> = OnceLock::new();
@@ -95,6 +112,12 @@ impl BluClausal {
         set
     }
 
+    /// Whether `combine` and `mask` take their delta-driven forms: the
+    /// reduced algebra under the indexed engine (see the module docs).
+    fn delta_driven(&self) -> bool {
+        self.reduce && engine_mode() == EngineMode::Indexed
+    }
+
     // ------------------------------------------------------------------
     // Algorithm 2.3.3
     // ------------------------------------------------------------------
@@ -119,6 +142,16 @@ impl BluClausal {
             }
         }
         out
+    }
+
+    /// Splits `combine`'s inputs into their shared clauses `C = Φ₁ ∩ Φ₂`
+    /// and the residues `Φ₁ ∖ C`, `Φ₂ ∖ C`. Tautologies are dropped on the
+    /// way: every product with one is a tautology, which `combine` drops.
+    fn split_shared(phi1: &ClauseSet, phi2: &ClauseSet) -> [ClauseSet; 3] {
+        let (shared, rest1): (ClauseSet, ClauseSet) =
+            phi1.iter().cloned().partition(|c| phi2.contains(c));
+        let rest2 = phi2.iter().filter(|c| !phi1.contains(c)).cloned().collect();
+        [shared, rest1, rest2]
     }
 
     /// `complement(Φ)` via the recursive support procedure `C` of
@@ -167,11 +200,51 @@ impl BluClausal {
 
     /// `mask(Φ, P)`: eliminates each letter of `P` in turn.
     pub fn mask_clauses(&self, phi: &ClauseSet, mask: &BTreeSet<AtomId>) -> ClauseSet {
+        if self.delta_driven() && !mask.is_empty() {
+            return Self::mask_indexed(phi, mask);
+        }
         let mut out = phi.clone();
         for &a in mask {
             out = self.maybe_reduce(Self::mask_step(&out, a));
         }
         out
+    }
+
+    /// The reduced `mask` on one literal-occurrence index (module docs):
+    /// per letter `A`, the clauses holding `A` or `¬A` leave the index and
+    /// their resolvents on `A` enter it with subsumption. Tautologies
+    /// never enter the index: `drop` filters them out of every step's
+    /// output, and their resolvents are tautologies or mention `A` again.
+    /// So no resolvent of the remaining clauses mentions `A`.
+    fn mask_indexed(phi: &ClauseSet, mask: &BTreeSet<AtomId>) -> ClauseSet {
+        let mut order: Vec<&Clause> = phi.iter().collect();
+        order.sort_by_key(|c| c.len());
+        let mut idx = IndexedClauseSet::new();
+        for c in order {
+            idx.insert_with_subsumption(c.clone());
+        }
+        for &a in mask {
+            counter!("blu.mask.steps").inc();
+            let sp = span!("blu.clausal.mask.step", "clauses_in" => idx.len());
+            let mut take = |lit: Literal| -> Vec<Clause> {
+                idx.partners(lit)
+                    .into_iter()
+                    .filter_map(|s| idx.remove(s))
+                    .collect()
+            };
+            let pos = take(Literal::pos(a));
+            let neg = take(Literal::neg(a));
+            for p in &pos {
+                for n in &neg {
+                    governor::step_n((p.len() + n.len()) as u64 + 1);
+                    if let Some(r) = resolvent(p, n, a) {
+                        idx.insert_with_subsumption(r);
+                    }
+                }
+            }
+            sp.attr("clauses_out", idx.len());
+        }
+        idx.to_set()
     }
 
     // ------------------------------------------------------------------
@@ -304,9 +377,6 @@ impl BluSemantics for BluClausal {
             let _t = timer!("blu.assert.wall").start();
             Self::assert_clauses(x, y)
         };
-        // State-mutating primitive: report so the memo caches can enforce
-        // their bounds (keys are pure, so this is memory, not staleness).
-        pwdb_logic::cache::note_state_change();
         histogram!("blu.assert.out_length").record(out.length() as u64);
         sp.attr("out_clauses", out.len());
         out
@@ -315,17 +385,26 @@ impl BluSemantics for BluClausal {
     fn op_combine(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
         counter!("blu.combine.calls").inc();
         counter!("blu.combine.in_length").add((x.length() + y.length()) as u64);
-        counter!("blu.combine.products").add((x.length() * y.length()) as u64);
-        let sp = span!(
-            "blu.clausal.combine",
-            "in_clauses" => x.len() + y.len(),
-            "cost" => x.length() * y.length(), // Θ(L₁×L₂), Thm 2.3.4(b)
-        );
+        let sp = span!("blu.clausal.combine", "in_clauses" => x.len() + y.len());
         let out = {
             let _t = timer!("blu.combine.wall").start();
-            self.maybe_reduce(Self::combine_clauses(x, y))
+            // The factored form multiplies only the residues; the shared
+            // clauses join the product unchanged (module docs).
+            let split = self.delta_driven().then(|| Self::split_shared(x, y));
+            let (shared, a, b) = match &split {
+                Some([shared, a, b]) => (shared.len(), a, b),
+                None => (0, x, y),
+            };
+            let products = a.length() * b.length();
+            counter!("blu.combine.products").add(products as u64);
+            sp.attr("shared", shared);
+            sp.attr("cost", products); // Θ(L₁×L₂), Thm 2.3.4(b)
+            let mut out = Self::combine_clauses(a, b);
+            if let Some([shared, ..]) = split {
+                out.extend(shared);
+            }
+            self.maybe_reduce(out)
         };
-        pwdb_logic::cache::note_state_change();
         histogram!("blu.combine.out_length").record(out.length() as u64);
         sp.attr("out_clauses", out.len());
         out
@@ -381,7 +460,7 @@ impl BluSemantics for BluClausal {
         }
         let out = {
             let _t = timer!("blu.genmask.wall").start();
-            let key = (self.genmask_strategy as u8, set_key(x));
+            let key = (self.genmask_strategy as u8, x.clone());
             genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
                 GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
                 GenmaskStrategy::SatBased => Self::genmask_sat(x),

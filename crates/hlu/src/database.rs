@@ -155,7 +155,7 @@ impl ClausalDatabase {
     }
 
     /// Drops every memoized entry. Never needed for correctness (cache
-    /// keys are interned whole inputs); useful to isolate measurements.
+    /// keys are whole inputs); useful to isolate measurements.
     pub fn clear_caches(&self) {
         pwdb_logic::cache::clear_all();
     }

@@ -1,17 +1,16 @@
 //! Bounded memo caches for repeat-heavy derived structures.
 //!
 //! `genmask(Φ)`, the prime-implicate closure, and `Inset[Φ]` are pure
-//! functions of their (interned) inputs, and real update workloads call
-//! them again and again on the same states — every `insert` recomputes
-//! the genmask of its parameter, every `normalize` re-closes states that
-//! interleave with queries. A [`MemoCache`] keys each result on
-//! [`crate::intern::ClauseId`] sequences (or other hash-consed keys), so
-//! staleness is impossible by construction: a changed state is a
-//! different key. Invalidation therefore exists for *memory*, not for
-//! correctness — caches are bounded ([`MemoCache::new`]'s capacity) and
-//! flushed wholesale when full, and state-mutating operators
-//! (`assert`/`combine`) report through [`note_state_change`], which
-//! drives the same bounded eviction. The metamorphic tests
+//! functions of their inputs, and real update workloads call them again
+//! and again on the same states — every `insert` recomputes the genmask
+//! of its parameter, every `normalize` re-closes states that interleave
+//! with queries. A [`MemoCache`] keys each result on the whole input (a
+//! [`crate::ClauseSet`], a formula), so staleness is impossible by
+//! construction: a changed state is a different key. Invalidation
+//! therefore exists for *memory*, not for correctness — caches are
+//! bounded ([`MemoCache::new`]'s capacity) and flushed wholesale when an
+//! insert finds them full, so a long-lived process holds at most `cap`
+//! entries per cache. The metamorphic tests
 //! (`tests/cache_metamorphic.rs`) pin the soundness claim: interleaved
 //! updates with caching on answer exactly like a fresh engine.
 //!
@@ -27,8 +26,6 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-use pwdb_metrics::counter;
 
 use crate::engine::{engine_mode, EngineMode};
 
@@ -53,8 +50,6 @@ pub trait CacheControl: Sync + Send {
     fn stats(&self) -> CacheStats;
     /// Drops every entry (counted as an invalidation).
     fn clear(&self);
-    /// Flushes if the entry count exceeds the capacity bound.
-    fn enforce_cap(&self);
 }
 
 fn registry() -> &'static Mutex<Vec<&'static dyn CacheControl>> {
@@ -86,17 +81,6 @@ pub fn all_stats() -> Vec<CacheStats> {
 pub fn clear_all() {
     for c in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
         c.clear();
-    }
-}
-
-/// The explicit invalidation hook: state-mutating operators
-/// (`assert`/`combine`) call this after producing a new state. Keys are
-/// pure, so nothing can go stale — the hook bounds memory by enforcing
-/// each cache's capacity, and counts mutations for observability.
-pub fn note_state_change() {
-    counter!("logic.cache.state_mutations").inc();
-    for c in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        c.enforce_cap();
     }
 }
 
@@ -183,14 +167,6 @@ impl<K: Eq + Hash + Send, V: Clone + Send> CacheControl for MemoCache<K, V> {
     fn clear(&self) {
         self.map.lock().unwrap_or_else(|e| e.into_inner()).clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn enforce_cap(&self) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() > self.cap {
-            map.clear();
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 

@@ -10,8 +10,8 @@
 //!   bypassed, so this mode reproduces the pre-index behavior exactly.
 //! * [`EngineMode::Indexed`] — the default: literal-occurrence lists plus
 //!   per-clause signature words ([`crate::index`]), semi-naive delta
-//!   evaluation of resolution closures, and interned-id memo caches
-//!   ([`crate::cache`]).
+//!   evaluation of resolution closures, and memo caches keyed on whole
+//!   inputs ([`crate::cache`]).
 //!
 //! The mode is a process-wide atomic so a whole stack (BLU, HLU, wilkins,
 //! benches) can be flipped without threading a parameter through every
@@ -27,7 +27,7 @@ pub enum EngineMode {
     /// The paper-direct pairwise algorithms ([`crate::reference`]), with
     /// all memo caches bypassed.
     Naive,
-    /// The literal-indexed engine with interning and memoization.
+    /// The literal-indexed engine with memoization.
     #[default]
     Indexed,
 }

@@ -26,18 +26,16 @@ use crate::cache::MemoCache;
 use crate::clause_set::ClauseSet;
 use crate::engine::{engine_mode, EngineMode};
 use crate::index::{IndexedClauseSet, Slot};
-use crate::intern::{set_key, ClauseId};
 use crate::literal::Literal;
 use crate::resolution::resolvent;
 
-/// The prime-implicate memo: keyed on the interned id sequence of the
-/// input set, so equal sets hit regardless of how they were built. Pure
-/// (the closure is a function of the set), bounded, bypassed under the
-/// naive engine.
-fn pi_cache() -> &'static MemoCache<Box<[ClauseId]>, ClauseSet> {
-    static CACHE: OnceLock<&'static MemoCache<Box<[ClauseId]>, ClauseSet>> = OnceLock::new();
+/// The prime-implicate memo: keyed on the input set itself, so equal sets
+/// hit regardless of how they were built. Pure (the closure is a function
+/// of the set), bounded, bypassed under the naive engine.
+fn pi_cache() -> &'static MemoCache<ClauseSet, ClauseSet> {
+    static CACHE: OnceLock<&'static MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
     CACHE.get_or_init(|| {
-        static INNER: OnceLock<MemoCache<Box<[ClauseId]>, ClauseSet>> = OnceLock::new();
+        static INNER: OnceLock<MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
         INNER
             .get_or_init(|| MemoCache::new("logic.cache.prime_implicates", 512))
             .register()
@@ -53,13 +51,13 @@ fn pi_cache() -> &'static MemoCache<Box<[ClauseId]>, ClauseSet> {
 /// closures are unique), so the naive engine
 /// ([`crate::reference::prime_implicates`]) and the indexed worklist
 /// below return bit-identical sets; the indexed engine additionally
-/// memoizes whole closures on the interned key of the input.
+/// memoizes whole closures keyed on the input set.
 pub fn prime_implicates(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.implicates.prime", "clauses_in" => set.len());
     let out = match engine_mode() {
         EngineMode::Naive => crate::reference::prime_implicates(set),
         EngineMode::Indexed => {
-            pi_cache().get_or_insert_with(set_key(set), || prime_implicates_indexed(set))
+            pi_cache().get_or_insert_with(set.clone(), || prime_implicates_indexed(set))
         }
     };
     sp.attr("clauses_out", out.len());

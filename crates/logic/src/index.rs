@@ -69,6 +69,8 @@ pub struct IndexedClauseSet {
     empty_slot: Option<Slot>,
     /// Live-clause count.
     len: usize,
+    /// Literal occurrences of the live clauses.
+    live_lits: usize,
     /// Dead entries currently left in occurrence lists.
     stale: usize,
 }
@@ -146,30 +148,32 @@ impl IndexedClauseSet {
         if clause.is_empty() {
             self.empty_slot = Some(slot);
         }
+        self.live_lits += clause.len();
         self.members.insert(clause.clone(), slot);
         self.slots.push(Some((clause, sig)));
         self.len += 1;
         Some(slot)
     }
 
-    /// Removes the clause in `slot` (occurrence lists stay lazily stale).
-    fn remove_slot(&mut self, slot: Slot) {
-        if let Some((clause, _)) = self.slots[slot as usize].take() {
-            self.stale += clause.len();
-            if clause.is_empty() {
-                self.empty_slot = None;
-            }
-            self.members.remove(&clause);
-            self.len -= 1;
-            self.maybe_compact();
+    /// Removes and returns the clause in `slot`, `None` if it is already
+    /// gone (occurrence lists stay lazily stale).
+    pub fn remove(&mut self, slot: Slot) -> Option<Clause> {
+        let (clause, _) = self.slots[slot as usize].take()?;
+        self.stale += clause.len();
+        self.live_lits -= clause.len();
+        if clause.is_empty() {
+            self.empty_slot = None;
         }
+        self.members.remove(&clause);
+        self.len -= 1;
+        self.maybe_compact();
+        Some(clause)
     }
 
     /// Drops dead entries from the occurrence lists once they outnumber
     /// the live literal occurrences.
     fn maybe_compact(&mut self) {
-        let live: usize = self.members.keys().map(Clause::len).sum();
-        if self.stale <= live.max(64) {
+        if self.stale <= self.live_lits.max(64) {
             return;
         }
         let slots = &self.slots;
@@ -285,7 +289,7 @@ impl IndexedClauseSet {
         let doomed = self.subsumed_slots(&clause, sig);
         counter!("logic.subsumption.backward_hits").add(doomed.len() as u64);
         for slot in doomed {
-            self.remove_slot(slot);
+            self.remove(slot);
         }
         self.insert_raw(clause);
         true
@@ -386,6 +390,22 @@ mod tests {
         idx.insert_with_subsumption(Clause::unit(lp(0)));
         assert_eq!(idx.partners(lp(0)).len(), 1);
         assert_eq!(idx.partners(lp(1)).len(), 0);
+    }
+
+    #[test]
+    fn remove_returns_the_clause_once() {
+        let mut idx = IndexedClauseSet::new();
+        let c = Clause::new(vec![lp(0), ln(1)]);
+        let slot = idx.insert_raw(c.clone()).unwrap();
+        idx.insert_raw(Clause::empty());
+        assert_eq!(idx.remove(slot), Some(c.clone()));
+        assert_eq!(idx.remove(slot), None);
+        assert!(!idx.contains(&c));
+        assert!(idx.partners(lp(0)).is_empty());
+        assert_eq!(idx.len(), 1);
+        // The slot is dead, but the clause may come back in a new one.
+        assert!(idx.insert_raw(c.clone()).is_some());
+        assert_eq!(idx.partners(ln(1)).len(), 1);
     }
 
     #[test]

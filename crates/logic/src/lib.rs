@@ -44,7 +44,6 @@ pub mod error;
 pub mod governor;
 pub mod implicates;
 pub mod index;
-pub mod intern;
 pub mod literal;
 pub mod parser;
 pub mod reference;
@@ -68,7 +67,6 @@ pub use error::{LogicError, Result};
 pub use governor::{govern, Budget, CancelToken, ExecError, Limits, Resource};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};
 pub use index::IndexedClauseSet;
-pub use intern::ClauseId;
 pub use literal::Literal;
 pub use parser::{parse_clause, parse_clause_set, parse_wff};
 pub use rng::Rng;

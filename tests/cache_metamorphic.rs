@@ -2,12 +2,13 @@
 //! contract.
 //!
 //! The memo caches (`blu.cache.genmask`, `worlds.cache.inset`,
-//! `logic.cache.prime_implicates`) are keyed on their *full* interned
-//! inputs, so a stale answer is only possible if keying or invalidation
-//! is wrong. These tests interleave state-mutating primitives
-//! (`assert`, `combine`) with repeated `genmask`/`Inset` calls and demand
-//! that every cached answer equals a fresh computation — both a
-//! cache-cleared indexed run and the cache-bypassing naive engine.
+//! `logic.cache.prime_implicates`) are keyed on their *full* inputs (the
+//! `ClauseSet` or formula itself), so a stale answer is only possible if
+//! keying or invalidation is wrong. These tests interleave
+//! state-mutating primitives (`assert`, `combine`) with repeated
+//! `genmask`/`Inset` calls and demand that every cached answer equals a
+//! fresh computation — both a cache-cleared indexed run and the
+//! cache-bypassing naive engine.
 //!
 //! The file also pins the `insert_with_subsumption` /
 //! `merge_with_subsumption` return-count contract on duplicate and
@@ -45,7 +46,7 @@ fn genmask_cache_survives_interleaved_mutations() {
     for step in 0..24 {
         let operand = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
         // Mutating primitive: alternates assert/combine, each of which
-        // reports a state change to the cache registry.
+        // yields a new state, hence a new memo key.
         state = with_engine(EngineMode::Indexed, || {
             if step % 2 == 0 {
                 alg.op_assert(&state, &operand)
@@ -101,7 +102,7 @@ fn cache_stats_reflect_hits_and_state_changes() {
         let mut rng = Rng::new(0xCAC3);
         let x = testgen::clause_set(&mut rng, N_ATOMS, 4, 3);
         let y = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
-        let _ = alg.op_assert(&x, &y); // state mutation, reported
+        let _ = alg.op_assert(&x, &y); // state mutation
         let _ = alg.op_genmask(&x); // miss
         let _ = alg.op_genmask(&x); // hit
         let stats = cache::all_stats();

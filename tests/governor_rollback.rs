@@ -181,3 +181,82 @@ fn parse_stmt(text: &str) -> HluProgram {
     let mut atoms = pwdb::logic::AtomTable::with_indexed_atoms(8);
     pwdb::hlu::parse_hlu(text, &mut atoms).unwrap()
 }
+
+/// A statement's outcome under the governor, without its step count.
+fn outcome(result: &Result<(), GovernedError>) -> String {
+    match result {
+        Ok(()) => "committed".into(),
+        Err(GovernedError::Rejected) => "rejected".into(),
+        Err(GovernedError::Exec(ExecError::BudgetExceeded {
+            resource, limit, ..
+        })) => format!("budget exceeded: {resource:?} limit {limit}"),
+        Err(other) => format!("{other:?}"),
+    }
+}
+
+/// The reduced algebra's factored `combine` and one-index `mask` change
+/// how much work a statement does, never its outcome. On a stream that
+/// interleaves the adversarial corpus with chained `modify`/`where`
+/// statements and a refused `assert`, both engines commit, reject and
+/// abort exactly the same statements, and no statement the indexed
+/// engine finishes costs it more governor steps than the naive engine.
+/// (Aborted statements stop just past the limit under either engine, so
+/// their step counts differ only by the last charge.)
+#[test]
+fn outcomes_match_across_engines_and_the_factored_path_spends_no_more() {
+    let mut rng = pwdb::logic::Rng::new(0x60BE);
+    let mut stream = vec![
+        parse_stmt("(insert {A1 | A2})"),
+        parse_stmt("(assert {A3})"),
+    ];
+    for (i, adversarial) in corpus(3).into_iter().enumerate() {
+        for _ in 0..6 {
+            let modify = |rng: &mut pwdb::logic::Rng| {
+                HluProgram::Modify(testgen::wff(rng, 6, 1), testgen::wff(rng, 6, 2))
+            };
+            let stmt = if rng.coin() {
+                modify(&mut rng)
+            } else {
+                let (then, otherwise) = (modify(&mut rng), modify(&mut rng));
+                HluProgram::where2(testgen::wff(&mut rng, 6, 1), then, otherwise)
+            };
+            stream.push(stmt);
+        }
+        stream.push(adversarial);
+        if i == 1 {
+            stream.push(parse_stmt("(assert {A7})"));
+            stream.push(parse_stmt("(assert {!A7})"));
+        }
+    }
+    let limits = Limits::budget(Budget::steps(TIGHT));
+    let run = |mode| {
+        with_engine(mode, || {
+            let mut db = ClausalDatabase::new_reduced();
+            stream
+                .iter()
+                .map(|stmt| {
+                    let result = db.run_governed(stmt, &limits);
+                    (outcome(&result), pwdb::logic::governor::last_spent())
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let naive = run(EngineMode::Naive);
+    let indexed = run(EngineMode::Indexed);
+    let outcomes = |runs: &[(String, u64)]| runs.iter().map(|r| r.0.clone()).collect::<Vec<_>>();
+    assert_eq!(outcomes(&naive), outcomes(&indexed));
+    for kind in ["committed", "rejected", "budget exceeded"] {
+        assert!(
+            naive.iter().any(|(o, _)| o.starts_with(kind)),
+            "the stream must exercise `{kind}`"
+        );
+    }
+    for (i, ((o, naive_steps), (_, indexed_steps))) in naive.iter().zip(&indexed).enumerate() {
+        if !o.starts_with("budget exceeded") {
+            assert!(
+                indexed_steps <= naive_steps,
+                "statement {i} ({o}): indexed spent {indexed_steps}, naive {naive_steps}"
+            );
+        }
+    }
+}

@@ -4,7 +4,8 @@
 //! Every test runs the same seeded computation twice — once under
 //! `EngineMode::Naive` (full-set scans, round-based closures, memo caches
 //! bypassed) and once under `EngineMode::Indexed` (literal-occurrence
-//! lists, signature filters, semi-naive worklists, interned-key memos) —
+//! lists, signature filters, semi-naive worklists, memos keyed on whole
+//! inputs, the factored `combine` and the one-index `mask`) —
 //! and asserts bit-identical results. Together the suites replay well
 //! over 200 seeded programs: raw engine operations, all five BLU-C
 //! primitives under the reduced algebra, full HLU scripts checked against
@@ -17,7 +18,9 @@ use pwdb::blu::{check_states, BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, HluProgram, InstanceDatabase};
 use pwdb::logic::resolution::saturate;
 use pwdb::logic::subsumption::{insert_with_subsumption, merge_with_subsumption};
-use pwdb::logic::{prime_implicates, with_engine, ClauseSet, EngineMode, Rng};
+use pwdb::logic::{
+    prime_implicates, with_engine, AtomId, Clause, ClauseSet, EngineMode, Literal, Rng,
+};
 use pwdb::worlds::{inset, WorldSet};
 use pwdb_suite::testgen;
 
@@ -92,10 +95,200 @@ fn blu_primitives_agree() {
     }
 }
 
+/// `x = C ∪ A` and `y = C ∪ B`, each clause put in raw so that
+/// tautologies and `□` survive as members.
+fn overlapping(shared: &ClauseSet, a: &ClauseSet, b: &ClauseSet) -> (ClauseSet, ClauseSet) {
+    let mut x = ClauseSet::new();
+    let mut y = ClauseSet::new();
+    for c in shared.iter() {
+        x.insert_raw(c.clone());
+        y.insert_raw(c.clone());
+    }
+    for c in a.iter() {
+        x.insert_raw(c.clone());
+    }
+    for c in b.iter() {
+        y.insert_raw(c.clone());
+    }
+    (x, y)
+}
+
+/// A clause holding both `A` and `¬A`, plus up to two more literals.
+fn tautology_on(rng: &mut Rng, atom: u32) -> Clause {
+    let mut lits = vec![Literal::pos(AtomId(atom)), Literal::neg(AtomId(atom))];
+    lits.extend(testgen::clause(rng, N_ATOMS, 2).literals().iter().copied());
+    Clause::new(lits)
+}
+
+/// Checks the reduced `combine` and `mask` on one input pair: identical
+/// under both engines, `combine` equal to `reduce(combine_clauses(x, y))`
+/// and `mask` equal to the reduced as-written algorithm (`mask` of the
+/// paper-exact algebra, then `reduce`); an empty mask returns `x` as is.
+fn check_combine_and_mask(ctx: &str, x: &ClauseSet, y: &ClauseSet, m: &BTreeSet<AtomId>) {
+    let alg = BluClausal::new().with_reduction(true);
+    let (combined, masked) = run_both(ctx, || (alg.op_combine(x, y), alg.op_mask(x, m)));
+    let (expected_combine, expected_mask) = with_engine(EngineMode::Naive, || {
+        let mut c = BluClausal::combine_clauses(x, y);
+        c.reduce_subsumed();
+        let mut k = BluClausal::new().mask_clauses(x, m);
+        if !m.is_empty() {
+            k.reduce_subsumed();
+        }
+        (c, k)
+    });
+    assert_eq!(combined, expected_combine, "{ctx}: combine");
+    assert_eq!(masked, expected_mask, "{ctx}: mask");
+}
+
+/// `combine` and `mask` on inputs that really overlap, as `modify` and
+/// `where` produce them: `x = C ∪ A`, `y = C ∪ B`. The edge cases ride
+/// along: `□ ∈ C`, raw tautologies in any part (also ones holding a mask
+/// letter in both polarities), unreduced inputs (an `assert` output),
+/// empty masks, and mask letters absent from the state.
+#[test]
+fn combine_and_mask_agree_on_overlapping_inputs() {
+    let mut rng = Rng::new(0xD1F6);
+    for case in 0..96 {
+        let mut shared = testgen::clause_set(&mut rng, N_ATOMS, 6, 3);
+        let mut a = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
+        let mut b = testgen::clause_set(&mut rng, N_ATOMS, 3, 3);
+        if case % 8 == 0 {
+            shared.insert_raw(Clause::empty());
+        }
+        for (i, part) in [&mut shared, &mut a, &mut b].into_iter().enumerate() {
+            if rng.below(3) == 0 {
+                let atom = rng.below(N_ATOMS as u64) as u32;
+                part.insert_raw(tautology_on(&mut rng, atom));
+            }
+            if case % 5 == i {
+                part.insert_raw(testgen::clause(&mut rng, N_ATOMS, 4));
+            }
+        }
+        let (x, y) = overlapping(&shared, &a, &b);
+        let mut m = testgen::mask(&mut rng, N_ATOMS, 3);
+        if case % 6 == 0 {
+            // A letter no clause mentions.
+            m.insert(AtomId(N_ATOMS as u32 + 2));
+        }
+        check_combine_and_mask(&format!("overlap #{case}"), &x, &y, &m);
+        // Unreduced input: the raw union `assert` returns.
+        let union = BluClausal::assert_clauses(&x, &y);
+        check_combine_and_mask(&format!("overlap #{case} assert"), &union, &y, &m);
+        check_combine_and_mask(&format!("overlap #{case} swapped"), &y, &union, &m);
+    }
+}
+
+/// Hand-picked edge cases of the factored `combine` and the one-index
+/// `mask`.
+#[test]
+fn combine_and_mask_edge_cases_agree() {
+    let lit = |a: u32, pos: bool| Literal::new(AtomId(a), pos);
+    let cl = |lits: &[(u32, bool)]| Clause::new(lits.iter().map(|&(a, p)| lit(a, p)).collect());
+    let raw = |clauses: &[Clause]| {
+        let mut s = ClauseSet::new();
+        for c in clauses {
+            s.insert_raw(c.clone());
+        }
+        s
+    };
+    let taut = cl(&[(0, true), (0, false), (1, true)]);
+    let cases = [
+        // □ shared: the result is {□}.
+        (
+            raw(&[Clause::empty(), cl(&[(0, true)])]),
+            raw(&[cl(&[(1, true), (2, true)])]),
+            raw(&[cl(&[(1, false)])]),
+        ),
+        // A tautology in every part.
+        (
+            raw(&[taut.clone(), cl(&[(2, true)])]),
+            raw(&[taut.clone(), cl(&[(3, true)])]),
+            raw(&[cl(&[(0, false), (3, false)])]),
+        ),
+        // Identical inputs: no residue at all.
+        (
+            raw(&[cl(&[(0, true), (1, false)]), cl(&[(2, true)])]),
+            ClauseSet::new(),
+            ClauseSet::new(),
+        ),
+        // Disjoint inputs: the full product.
+        (
+            ClauseSet::new(),
+            raw(&[cl(&[(0, true)]), cl(&[(1, true)])]),
+            raw(&[cl(&[(0, false)]), cl(&[(2, true)])]),
+        ),
+        // One side empty: combine is empty.
+        (ClauseSet::new(), raw(&[cl(&[(0, true)])]), ClauseSet::new()),
+    ];
+    let masks = [
+        BTreeSet::new(),
+        BTreeSet::from([AtomId(0)]),
+        BTreeSet::from([AtomId(0), AtomId(1)]),
+        BTreeSet::from([AtomId(40)]),
+    ];
+    for (i, (shared, a, b)) in cases.iter().enumerate() {
+        let (x, y) = overlapping(shared, a, b);
+        for (j, m) in masks.iter().enumerate() {
+            check_combine_and_mask(&format!("edge #{i} mask #{j}"), &x, &y, m);
+        }
+    }
+    // A state holding a clause with both A1 and ¬A1, masked on A1: its
+    // resolvents all mention A1 again, so it contributes nothing.
+    let state = raw(&[
+        taut.clone(),
+        cl(&[(0, true), (2, true)]),
+        cl(&[(0, false), (3, true)]),
+        cl(&[(4, true)]),
+    ]);
+    let alg = BluClausal::new().with_reduction(true);
+    let masked = run_both("both polarities", || {
+        alg.op_mask(&state, &BTreeSet::from([AtomId(0)]))
+    });
+    assert_eq!(
+        masked,
+        raw(&[cl(&[(2, true), (3, true)]), cl(&[(4, true)])])
+    );
+}
+
+/// Runs one HLU script on the reduced clausal backend under both engines
+/// (normalizing after every second statement) and checks the shared
+/// trajectory against the instance-level backend.
+fn check_script(ctx: &str, script: &[HluProgram], queries: &[pwdb::logic::Wff]) {
+    let trace = run_both(ctx, || {
+        let mut db = ClausalDatabase::new_reduced();
+        let mut steps = Vec::new();
+        for (i, prog) in script.iter().enumerate() {
+            db.run(prog);
+            if i % 2 == 1 {
+                db.normalize();
+            }
+            let answers: Vec<(bool, bool)> = queries
+                .iter()
+                .map(|q| (db.is_certain(q), db.is_possible(q)))
+                .collect();
+            steps.push((db.state().clone(), answers));
+        }
+        steps
+    });
+
+    // The shared result must also be semantically right: replay the
+    // script world-by-world and compare denotations.
+    let mut instance = InstanceDatabase::with_atoms(N_ATOMS);
+    for (prog, (state, _)) in script.iter().zip(&trace) {
+        instance.run(prog);
+        assert_eq!(
+            &WorldSet::from_clauses(N_ATOMS, state),
+            instance.state(),
+            "{ctx}: clausal state diverged from world semantics after {prog}"
+        );
+    }
+}
+
 /// Full HLU scripts on the reduced clausal backend: both engines must
 /// produce identical clause states and query answers at every step, and
 /// each must still denote the same worlds as the instance-level backend
-/// (the Theorem 3.1.4 soundness oracle).
+/// (the Theorem 3.1.4 soundness oracle). The second half chains `modify`
+/// and `where` statements, whose `combine` inputs share most clauses.
 #[test]
 fn hlu_scripts_agree() {
     let mut rng = Rng::new(0xD1F3);
@@ -104,35 +297,35 @@ fn hlu_scripts_agree() {
             .map(|_| testgen::hlu_program(&mut rng, N_ATOMS))
             .collect();
         let queries: Vec<_> = (0..3).map(|_| testgen::wff(&mut rng, N_ATOMS, 2)).collect();
+        check_script(&format!("hlu script #{case}"), &script, &queries);
+    }
 
-        let trace = run_both(&format!("hlu script #{case}"), || {
-            let mut db = ClausalDatabase::new_reduced();
-            let mut steps = Vec::new();
-            for (i, prog) in script.iter().enumerate() {
-                db.run(prog);
-                if i % 2 == 1 {
-                    db.normalize();
+    let mut rng = Rng::new(0xD1F7);
+    for case in 0..32 {
+        let mut script = vec![HluProgram::Insert(testgen::wff(&mut rng, N_ATOMS, 2))];
+        for _ in 0..rng.range_usize(3, 7) {
+            let modify = |rng: &mut Rng| {
+                HluProgram::Modify(testgen::wff(rng, N_ATOMS, 1), testgen::wff(rng, N_ATOMS, 1))
+            };
+            let stmt = match rng.below(3) {
+                0 => modify(&mut rng),
+                1 => {
+                    let (then, otherwise) = (modify(&mut rng), modify(&mut rng));
+                    HluProgram::where2(testgen::wff(&mut rng, N_ATOMS, 1), then, otherwise)
                 }
-                let answers: Vec<(bool, bool)> = queries
-                    .iter()
-                    .map(|q| (db.is_certain(q), db.is_possible(q)))
-                    .collect();
-                steps.push((db.state().clone(), answers));
-            }
-            steps
-        });
-
-        // The shared result must also be semantically right: replay the
-        // script world-by-world and compare denotations.
-        let mut instance = InstanceDatabase::with_atoms(N_ATOMS);
-        for (prog, (state, _)) in script.iter().zip(&trace) {
-            instance.run(prog);
-            assert_eq!(
-                &WorldSet::from_clauses(N_ATOMS, state),
-                instance.state(),
-                "case {case}: clausal state diverged from world semantics after {prog}"
-            );
+                _ => {
+                    let inner = HluProgram::where2(
+                        testgen::wff(&mut rng, N_ATOMS, 1),
+                        modify(&mut rng),
+                        testgen::simple_hlu_program(&mut rng, N_ATOMS),
+                    );
+                    HluProgram::where2(testgen::wff(&mut rng, N_ATOMS, 1), inner, modify(&mut rng))
+                }
+            };
+            script.push(stmt);
         }
+        let queries: Vec<_> = (0..3).map(|_| testgen::wff(&mut rng, N_ATOMS, 2)).collect();
+        check_script(&format!("modify/where chain #{case}"), &script, &queries);
     }
 }
 
