@@ -121,7 +121,9 @@ impl HluBackend for BluInstance {
 pub struct Database<B: HluBackend> {
     backend: B,
     state: B::State,
-    constraints: Option<Wff>,
+    /// The integrity constraints, lowered once by
+    /// [`Database::with_constraints`] and asserted after every update.
+    constraints: Option<B::State>,
     updates_run: usize,
     history: Vec<HluProgram>,
 }
@@ -206,10 +208,9 @@ impl<B: HluBackend> Database<B> {
 
     /// Installs integrity constraints enforced after every update.
     pub fn with_constraints(mut self, constraints: Wff) -> Self {
-        self.state = self
-            .backend
-            .op_assert(&self.state, &self.backend.lower_state(&constraints));
-        self.constraints = Some(constraints);
+        let lowered = self.backend.lower_state(&constraints);
+        self.state = self.backend.op_assert(&self.state, &lowered);
+        self.constraints = Some(lowered);
         self
     }
 
@@ -274,9 +275,7 @@ impl<B: HluBackend> Database<B> {
             counter!("hlu.constraints.enforcements").inc();
             let _tc = timer!("hlu.constraints.wall").start();
             let _spc = pwdb_trace::span!("hlu.constraints");
-            next = self
-                .backend
-                .op_assert(&next, &self.backend.lower_state(con));
+            next = self.backend.op_assert(&next, con);
         }
         self.state = next;
         self.updates_run += 1;
@@ -317,12 +316,16 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Whether `wff` holds in at least one possible world.
+    ///
+    /// One refutation answers it: `¬wff` is certain exactly when no
+    /// possible world satisfies `wff`. An inconsistent state has no
+    /// world, so it makes `¬wff` (vacuously) certain and the answer is
+    /// `false` without a separate consistency check.
     pub fn is_possible(&self, wff: &Wff) -> bool {
         counter!("hlu.query.possible.calls").inc();
         let _t = timer!("hlu.query.possible.wall").start();
         let _sp = pwdb_trace::span!("hlu.query.possible");
         !self.backend.certain(&self.state, &wff.clone().not())
-            && self.backend.consistent(&self.state)
     }
 
     /// `EXPLAIN`: runs the program while recording its full execution

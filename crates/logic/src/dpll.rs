@@ -20,11 +20,13 @@ use crate::wff::Wff;
 
 /// A reusable DPLL solver instance.
 ///
-/// Holds the clause database in an indexed form. Assumption literals may
-/// be supplied per query, which is how entailment (`Φ ⊨ ψ` as
-/// `unsat(Φ ∧ ¬ψ)`) is implemented without copying `Φ`.
-pub struct Solver {
-    clauses: Vec<Vec<Literal>>,
+/// Borrows the clauses it solves over: building a solver is one vector
+/// of slice pointers into the caller's clause sets, with no clause
+/// copied. Assumption literals may be supplied per query, which is how
+/// entailment (`Φ ⊨ ψ` as `unsat(Φ ∧ ¬ψ)`) is implemented without copying
+/// `Φ`.
+pub struct Solver<'a> {
+    clauses: Vec<&'a [Literal]>,
     n_atoms: usize,
 }
 
@@ -54,26 +56,43 @@ struct DpllStats {
     conflicts: u64,
 }
 
-impl Solver {
+/// A clause's status under a partial assignment.
+#[derive(Debug, Clone, Copy)]
+enum ClauseState {
+    /// Some literal is true.
+    Satisfied,
+    /// Every literal is false.
+    Conflict,
+    /// Exactly one literal is unassigned and the rest are false.
+    Unit(Literal),
+    /// Two or more literals are unassigned and none is true.
+    Open,
+}
+
+/// Polarity bits of the per-solve occurrence scratch buffer.
+const SEEN_POS: u8 = 1;
+const SEEN_NEG: u8 = 2;
+
+impl<'a> Solver<'a> {
     /// Builds a solver over `set`, with the atom universe sized to the
     /// larger of the set's own bound and `min_atoms`.
-    pub fn new(set: &ClauseSet, min_atoms: usize) -> Self {
+    pub fn new(set: &'a ClauseSet, min_atoms: usize) -> Self {
         let n_atoms = set.atom_bound().max(min_atoms);
         let clauses = set
             .iter()
             .filter(|c| !c.is_tautology())
-            .map(|c| c.literals().to_vec())
+            .map(Clause::literals)
             .collect();
         Solver { clauses, n_atoms }
     }
 
     /// Adds one clause to the database.
-    pub fn add_clause(&mut self, clause: &Clause) {
+    pub fn add_clause(&mut self, clause: &'a Clause) {
         if clause.is_tautology() {
             return;
         }
         self.n_atoms = self.n_atoms.max(clause.atom_bound());
-        self.clauses.push(clause.literals().to_vec());
+        self.clauses.push(clause.literals());
     }
 
     /// Number of atoms in the solver's universe.
@@ -104,7 +123,8 @@ impl Solver {
             }
         }
         let mut stats = DpllStats::default();
-        let sat = self.dpll(&mut values, &mut stats);
+        let mut seen = vec![0u8; values.len()];
+        let sat = self.dpll(&mut values, &mut seen, &mut stats);
         counter!("logic.dpll.decisions").add(stats.decisions);
         counter!("logic.dpll.propagations").add(stats.propagations);
         counter!("logic.dpll.conflicts").add(stats.conflicts);
@@ -133,21 +153,32 @@ impl Solver {
         self.solve_with(&[])
     }
 
-    /// Clause status under a partial assignment: `None` if satisfied,
-    /// otherwise the unassigned literals.
-    fn clause_state(clause: &[Literal], values: &[Option<bool>]) -> Option<Vec<Literal>> {
-        let mut open = Vec::new();
+    /// Clause status under a partial assignment, found in one scan with
+    /// no allocation.
+    fn clause_state(clause: &[Literal], values: &[Option<bool>]) -> ClauseState {
+        let mut unit = None;
+        let mut open = 0usize;
         for &lit in clause {
             match values.get(lit.atom().index()).copied().flatten() {
-                Some(v) if v == lit.is_positive() => return None, // satisfied
-                Some(_) => {}                                     // falsified literal
-                None => open.push(lit),
+                Some(v) if v == lit.is_positive() => return ClauseState::Satisfied,
+                Some(_) => {} // falsified literal
+                None => {
+                    open += 1;
+                    unit.get_or_insert(lit);
+                }
             }
         }
-        Some(open)
+        match (open, unit) {
+            (0, _) => ClauseState::Conflict,
+            (1, Some(lit)) => ClauseState::Unit(lit),
+            _ => ClauseState::Open,
+        }
     }
 
-    fn dpll(&self, values: &mut Vec<Option<bool>>, stats: &mut DpllStats) -> bool {
+    /// One search node. `seen` is the solve's polarity scratch buffer
+    /// (one byte per atom); each node clears and fills it before
+    /// recursing, so one buffer serves the whole search.
+    fn dpll(&self, values: &mut Vec<Option<bool>>, seen: &mut [u8], stats: &mut DpllStats) -> bool {
         // Unit propagation to fixpoint. Each round (and each search
         // node) charges one step per clause scanned.
         loop {
@@ -155,18 +186,16 @@ impl Solver {
             let mut changed = false;
             for clause in &self.clauses {
                 match Self::clause_state(clause, values) {
-                    None => {}
-                    Some(open) if open.is_empty() => {
+                    ClauseState::Satisfied | ClauseState::Open => {}
+                    ClauseState::Conflict => {
                         stats.conflicts += 1;
                         return false;
                     }
-                    Some(open) if open.len() == 1 => {
-                        let lit = open[0];
+                    ClauseState::Unit(lit) => {
                         values[lit.atom().index()] = Some(lit.is_positive());
                         stats.propagations += 1;
                         changed = true;
                     }
-                    Some(_) => {}
                 }
             }
             if !changed {
@@ -175,28 +204,34 @@ impl Solver {
         }
 
         // Pure-literal elimination and branch selection in one pass:
-        // track polarity occurrences among unresolved clauses.
-        let mut seen_pos = vec![false; values.len()];
-        let mut seen_neg = vec![false; values.len()];
+        // track polarity occurrences among unresolved clauses. A clause
+        // that is not satisfied has its unassigned literals as its open
+        // ones, so they are walked in place.
+        seen.fill(0);
         let mut branch: Option<AtomId> = None;
         let mut any_open = false;
         for clause in &self.clauses {
-            if let Some(open) = Self::clause_state(clause, values) {
-                if open.is_empty() {
+            match Self::clause_state(clause, values) {
+                ClauseState::Satisfied => continue,
+                ClauseState::Conflict => {
                     stats.conflicts += 1;
                     return false;
                 }
-                any_open = true;
-                for lit in open {
-                    let idx = lit.atom().index();
-                    if lit.is_positive() {
-                        seen_pos[idx] = true;
-                    } else {
-                        seen_neg[idx] = true;
-                    }
-                    if branch.is_none() {
-                        branch = Some(lit.atom());
-                    }
+                ClauseState::Unit(_) | ClauseState::Open => {}
+            }
+            any_open = true;
+            for &lit in clause.iter() {
+                let idx = lit.atom().index();
+                if values[idx].is_some() {
+                    continue;
+                }
+                seen[idx] |= if lit.is_positive() {
+                    SEEN_POS
+                } else {
+                    SEEN_NEG
+                };
+                if branch.is_none() {
+                    branch = Some(lit.atom());
                 }
             }
         }
@@ -206,14 +241,14 @@ impl Solver {
 
         // Assign pure literals (cannot flip any satisfied clause).
         let mut assigned_pure = false;
-        for i in 0..values.len() {
-            if values[i].is_none() && (seen_pos[i] ^ seen_neg[i]) {
-                values[i] = Some(seen_pos[i]);
+        for (value, &s) in values.iter_mut().zip(seen.iter()) {
+            if value.is_none() && (s == SEEN_POS || s == SEEN_NEG) {
+                *value = Some(s == SEEN_POS);
                 assigned_pure = true;
             }
         }
         if assigned_pure {
-            return self.dpll(values, stats);
+            return self.dpll(values, seen, stats);
         }
 
         let atom = branch.expect("open clause implies an unassigned literal");
@@ -221,12 +256,12 @@ impl Solver {
         let idx = atom.index();
         let snapshot = values.clone();
         values[idx] = Some(true);
-        if self.dpll(values, stats) {
+        if self.dpll(values, seen, stats) {
             return true;
         }
         *values = snapshot;
         values[idx] = Some(false);
-        self.dpll(values, stats)
+        self.dpll(values, seen, stats)
     }
 }
 
@@ -352,28 +387,81 @@ mod tests {
         assert!(!equivalent(&a, &c));
     }
 
+    fn random_literals(rng: &mut crate::rng::Rng, n: usize, k: usize) -> Vec<Literal> {
+        (0..k)
+            .map(|_| Literal::new(crate::atom::AtomId(rng.below(n as u64) as u32), rng.coin()))
+            .collect()
+    }
+
+    fn random_set(rng: &mut crate::rng::Rng, n: usize) -> ClauseSet {
+        let k = rng.range_usize(0, 7);
+        (0..k)
+            .map(|_| {
+                let w = rng.range_usize(1, 4);
+                crate::clause::Clause::new(random_literals(rng, n, w))
+            })
+            .collect()
+    }
+
     #[test]
     fn agrees_with_truth_table_on_random_sets() {
         let mut rng = crate::rng::Rng::new(0xBEEF);
         for _ in 0..200 {
             let n = rng.range_usize(1, 6);
-            let k = rng.range_usize(0, 7);
-            let mut s = ClauseSet::new();
-            for _ in 0..k {
-                let w = rng.range_usize(1, 4);
-                let lits: Vec<Literal> = (0..w)
-                    .map(|_| {
-                        Literal::new(crate::atom::AtomId(rng.below(n as u64) as u32), rng.coin())
-                    })
-                    .collect();
-                s.insert(crate::clause::Clause::new(lits));
-            }
+            let s = random_set(&mut rng, n);
             let brute = Assignment::enumerate(n).any(|a| s.eval(&a));
             assert_eq!(
                 Solver::new(&s, n).solve().is_sat(),
                 brute,
                 "mismatch on {s}"
             );
+        }
+    }
+
+    /// `solve_with` answers exactly the truth table of the set under
+    /// the assumptions, and every witness satisfies both.
+    fn check_under_assumptions(
+        solver: &Solver<'_>,
+        s: &ClauseSet,
+        n: usize,
+        assumptions: &[Literal],
+    ) {
+        let holds = |a: &Assignment| s.eval(a) && assumptions.iter().all(|&l| a.satisfies(l));
+        let brute = Assignment::enumerate(n).any(|a| holds(&a));
+        match solver.solve_with(assumptions) {
+            SatResult::Sat(m) => {
+                assert!(brute, "spurious model of {s} under {assumptions:?}");
+                assert!(holds(&m), "witness {m:?} fails {s} under {assumptions:?}");
+            }
+            SatResult::Unsat => assert!(!brute, "missed model of {s} under {assumptions:?}"),
+        }
+    }
+
+    #[test]
+    fn assumptions_agree_with_truth_table_on_random_sets() {
+        let mut rng = crate::rng::Rng::new(0xA55E);
+        for _ in 0..300 {
+            let n = rng.range_usize(1, 6);
+            let s = random_set(&mut rng, n);
+            let w = rng.range_usize(1, 4);
+            let extra = crate::clause::Clause::new(random_literals(&mut rng, n, w));
+            let k = rng.range_usize(0, 4);
+            let assumptions = random_literals(&mut rng, n, k);
+
+            let mut solver = Solver::new(&s, n);
+            check_under_assumptions(&solver, &s, n, &assumptions);
+
+            solver.add_clause(&extra);
+            let mut extended = s.clone();
+            extended.insert(extra.clone());
+            check_under_assumptions(&solver, &extended, n, &assumptions);
+
+            // An assumption and its negation together are never satisfiable.
+            if let Some(&l) = assumptions.first() {
+                let mut contradictory = assumptions.clone();
+                contradictory.push(l.negated());
+                assert_eq!(solver.solve_with(&contradictory), SatResult::Unsat);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! `continue`.
 
 use pwdb::hlu::{ClausalDatabase, HluProgram, InstanceDatabase};
-use pwdb::logic::{AtomId, Rng, Wff};
+use pwdb::logic::{AtomId, Literal, Rng, Wff};
 use pwdb::worlds::{delete_wff, insert_wff, WorldSet};
 use pwdb_suite::testgen;
 
@@ -40,6 +40,81 @@ fn backends_agree_on_scripts() {
                 instance.state(),
                 "diverged after {prog}"
             );
+        }
+    }
+}
+
+/// A seeded query: a conjunction or disjunction of 1–3 literals, or an
+/// arbitrary wff.
+fn arb_query(rng: &mut Rng) -> Wff {
+    match rng.below(3) {
+        0 => testgen::literal_disjunction(rng, N),
+        1 => {
+            Wff::conj((0..rng.range_usize(1, 4)).map(|_| {
+                Wff::literal(Literal::new(AtomId(rng.below(N as u64) as u32), rng.coin()))
+            }))
+        }
+        _ => arb_wff(rng, 2),
+    }
+}
+
+/// Query answers on the clausal backend — both algebras, with and
+/// without integrity constraints — match the possible-worlds oracle
+/// after every statement, including on scripts that end inconsistent
+/// (where everything is certain and nothing is possible).
+#[test]
+fn query_answers_match_world_set_oracle() {
+    let mut rng = Rng::new(0x41AB);
+    for case in 0..CASES {
+        let mut script: Vec<HluProgram> = (0..rng.range_usize(1, 4))
+            .map(|_| testgen::hlu_program(&mut rng, N))
+            .collect();
+        let ends_inconsistent = case % 3 == 0;
+        if ends_inconsistent {
+            let a = Wff::atom(rng.below(N as u64) as u32);
+            script.push(HluProgram::Assert(a.clone().and(a.not())));
+        }
+        let constraints = (case % 2 == 1).then(|| arb_wff(&mut rng, 1));
+        let queries: Vec<Wff> = (0..6).map(|_| arb_query(&mut rng)).collect();
+        for reduced in [false, true] {
+            let mut clausal = if reduced {
+                ClausalDatabase::new_reduced()
+            } else {
+                ClausalDatabase::new()
+            };
+            let mut instance = InstanceDatabase::with_atoms(N);
+            if let Some(con) = &constraints {
+                clausal = clausal.with_constraints(con.clone());
+                instance = instance.with_constraints(con.clone());
+            }
+            for prog in &script {
+                clausal.run(prog);
+                instance.run(prog);
+                for q in &queries {
+                    let ctx = format!("case {case}, reduced={reduced}, after {prog}, query {q:?}");
+                    assert_eq!(
+                        clausal.is_certain(q),
+                        instance.is_certain(q),
+                        "certain: {ctx}"
+                    );
+                    assert_eq!(
+                        clausal.is_possible(q),
+                        instance.is_possible(q),
+                        "possible: {ctx}"
+                    );
+                }
+                // Both backends share the enforcement step, so check it
+                // against the constraint itself rather than each other.
+                if let Some(con) = &constraints {
+                    assert!(clausal.is_certain(con), "constraints lost after {prog}");
+                }
+            }
+            if ends_inconsistent {
+                assert!(!instance.is_consistent() && !clausal.is_consistent());
+                assert!(queries
+                    .iter()
+                    .all(|q| clausal.is_certain(q) && !clausal.is_possible(q)));
+            }
         }
     }
 }
