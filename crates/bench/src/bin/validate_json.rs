@@ -1,17 +1,13 @@
 //! Validates the JSON artifacts the report binaries emit.
 //!
 //! ```text
-//! validate_json BENCH_metrics.json BENCH_trace.json ...
+//! validate_json BENCH_index.json BENCH_store.json BENCH_governor.json
 //! ```
 //!
 //! Each file must parse through `pwdb_metrics::json` (the same
 //! hand-written parser the writers round-trip through), and is then
 //! structurally checked by shape:
 //!
-//! - a `traceEvents` document (from `report_trace`) must hold a non-empty
-//!   array whose every event carries `name`, `ph`, `ts`, and `dur`;
-//! - an `experiments`/`totals` document (from `report_metrics`) must have
-//!   every section decode back into a `MetricsSnapshot`;
 //! - an `index_comparison` document (from `report_index`) must have a
 //!   `naive` and an `indexed` snapshot per section, and a `summary` whose
 //!   every counter carries both engine totals;
@@ -34,26 +30,6 @@ use pwdb_metrics::MetricsSnapshot;
 fn validate(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| e.to_string())?;
-
-    if let Some(events) = doc.get("traceEvents") {
-        let Json::Arr(events) = events else {
-            return Err("traceEvents is not an array".to_owned());
-        };
-        if events.is_empty() {
-            return Err("traceEvents is empty".to_owned());
-        }
-        for (i, ev) in events.iter().enumerate() {
-            for key in ["name", "ph", "ts", "dur"] {
-                if ev.get(key).is_none() {
-                    return Err(format!("event {i} is missing '{key}'"));
-                }
-            }
-            if ev.get("ph").and_then(Json::as_str) != Some("X") {
-                return Err(format!("event {i} is not a complete ('X') event"));
-            }
-        }
-        return Ok(format!("{} trace event(s)", events.len()));
-    }
 
     if let Some(comparison) = doc.get("index_comparison") {
         let Json::Obj(sections) = comparison else {
@@ -173,30 +149,7 @@ fn validate(path: &str) -> Result<String, String> {
         ));
     }
 
-    if let Some(experiments) = doc.get("experiments") {
-        let Json::Obj(sections) = experiments else {
-            return Err("experiments is not an object".to_owned());
-        };
-        for (name, section) in sections {
-            MetricsSnapshot::from_json_value(section)
-                .map_err(|e| format!("experiment '{name}': {e}"))?;
-        }
-        let totals = doc
-            .get("totals")
-            .ok_or_else(|| "missing 'totals'".to_owned())?;
-        let snap = MetricsSnapshot::from_json_value(totals).map_err(|e| format!("totals: {e}"))?;
-        return Ok(format!(
-            "{} experiment(s), totals with {} counter(s)",
-            sections.len(),
-            snap.counters.len()
-        ));
-    }
-
-    Err(
-        "unrecognized document (no traceEvents, index_comparison, store_bench, \
-         governor_bench, or experiments)"
-            .to_owned(),
-    )
+    Err("unrecognized document (no index_comparison, store_bench, or governor_bench)".to_owned())
 }
 
 fn main() -> ExitCode {

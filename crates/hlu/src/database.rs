@@ -238,10 +238,10 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Every program applied so far, in order — the database's statement
-    /// history. Rejected updates ([`Database::run_rejecting`]) and rolled-
-    /// back transactions are excised, so the history always *derives* the
-    /// current state from the initial one (replaying it on a fresh
-    /// database reproduces `state()` exactly). [`Database::set_state`]
+    /// history. Failed [`Database::run_governed`] statements and updates
+    /// undone by [`Database::rollback_to`] are excised, so the history
+    /// always *derives* the current state from the initial one (replaying
+    /// it on a fresh database reproduces `state()` exactly). [`Database::set_state`]
     /// breaks that derivation and clears the history.
     pub fn history(&self) -> &[HluProgram] {
         &self.history
@@ -254,7 +254,11 @@ impl<B: HluBackend> Database<B> {
         self.updates_run = updates_run;
     }
 
-    /// Runs one HLU program against the current state.
+    /// Runs one HLU program against the current state — the paper's
+    /// morphism, applied as is: ungoverned, and committed even when it
+    /// leaves no possible world (an inconsistent `assert`). Replay and the
+    /// oracles use it; [`Database::run_governed`] is the transactional
+    /// path.
     pub fn run(&mut self, prog: &HluProgram) {
         counter!("hlu.stmt.total").inc();
         stmt_counter(prog).inc();
@@ -328,20 +332,6 @@ impl<B: HluBackend> Database<B> {
         !self.backend.certain(&self.state, &wff.clone().not())
     }
 
-    /// `EXPLAIN`: runs the program while recording its full execution
-    /// trace — the HLU→BLU translation tree, every BLU primitive invoked
-    /// (with clause counts and the theorem's dominant cost term), and the
-    /// logic-layer work underneath. The update **is applied**, exactly as
-    /// [`Database::run`] would; only the observation differs.
-    ///
-    /// In a `--no-default-features` build the program still runs but the
-    /// returned trace is empty.
-    pub fn explain(&mut self, prog: &HluProgram) -> Explanation {
-        let compiled = compile(prog);
-        let ((), trace) = pwdb_trace::capture(|| self.run(prog));
-        explanation_of(prog, &compiled, trace)
-    }
-
     /// Whether any possible world remains.
     pub fn is_consistent(&self) -> bool {
         self.backend.consistent(&self.state)
@@ -352,25 +342,6 @@ impl<B: HluBackend> Database<B> {
     /// the clausal backend; a popcount on the instance backend.
     pub fn world_count(&self, n_atoms: usize) -> u64 {
         self.backend.world_count(&self.state, n_atoms)
-    }
-
-    /// Runs a program with the *rejection* handling of §1.3.3: "the
-    /// updated database is computed, and then checked for compliance with
-    /// the integrity constraints. If those constraints are not satisfied,
-    /// the update is rejected." In the incomplete-information reading, an
-    /// update whose result has **no** possible world left is rejected and
-    /// the state restored.
-    pub fn run_rejecting(&mut self, prog: &HluProgram) -> Result<(), UpdateRejected> {
-        let saved = self.state.clone();
-        self.run(prog);
-        if self.backend.consistent(&self.state) {
-            Ok(())
-        } else {
-            self.state = saved;
-            self.updates_run -= 1;
-            self.history.pop();
-            Err(UpdateRejected)
-        }
     }
 
     /// A savepoint capturing the current state (states are values; this
@@ -389,18 +360,6 @@ impl<B: HluBackend> Database<B> {
         self.state = savepoint.state;
         self.updates_run = savepoint.updates_run;
         self.history.truncate(savepoint.history_len);
-    }
-
-    /// Runs a closure transactionally: if it returns `false` (or the
-    /// resulting state is inconsistent), every update it performed is
-    /// rolled back. Returns whether the transaction committed.
-    pub fn transaction(&mut self, body: impl FnOnce(&mut Self) -> bool) -> bool {
-        let saved = self.savepoint();
-        let keep = body(self) && self.backend.consistent(&self.state);
-        if !keep {
-            self.rollback_to(saved);
-        }
-        keep
     }
 
     /// Checked [`Database::world_count`]: `u128`, and a typed
@@ -422,6 +381,13 @@ impl<B: HluBackend> Database<B> {
     /// the database rolls back to its pre-statement savepoint
     /// bit-identically: state, update count, and history are exactly as
     /// before the call.
+    ///
+    /// Under [`Limits::unlimited()`] this is exactly the rejection
+    /// discipline of §1.3.3: "the updated database is computed, and then
+    /// checked for compliance with the integrity constraints. If those
+    /// constraints are not satisfied, the update is rejected." In the
+    /// incomplete-information reading, an update whose result has **no**
+    /// possible world left is rejected.
     pub fn run_governed(
         &mut self,
         prog: &HluProgram,
@@ -464,27 +430,6 @@ impl<B: HluBackend> Database<B> {
             }
         }
     }
-
-    /// `EXPLAIN` under limits: runs the statement exactly as
-    /// [`Database::run_governed`] (including rollback on failure) while
-    /// recording the execution trace. Returns the explanation — whose
-    /// `outcome` names what happened — together with the governed result,
-    /// so a budget-exceeded EXPLAIN still shows how far execution got.
-    pub fn explain_governed(
-        &mut self,
-        prog: &HluProgram,
-        limits: &Limits,
-    ) -> (Explanation, Result<(), GovernedError>) {
-        let compiled = compile(prog);
-        let (result, trace) = pwdb_trace::capture(|| self.run_governed(prog, limits));
-        let outcome = match &result {
-            Ok(()) => "committed".to_owned(),
-            Err(e) => e.to_string(),
-        };
-        let mut exp = explanation_of(prog, &compiled, trace);
-        exp.outcome = Some(outcome);
-        (exp, result)
-    }
 }
 
 /// The static span-attribute label for a governed failure.
@@ -523,17 +468,42 @@ fn stmt_span_name(prog: &HluProgram) -> &'static str {
     }
 }
 
-/// Builds the rendered [`Explanation`] skeleton shared by
-/// [`Database::explain`] and [`Database::explain_governed`].
-fn explanation_of(
-    prog: &HluProgram,
-    compiled: &crate::compile::Compiled,
-    trace: pwdb_trace::Trace,
-) -> Explanation {
-    Explanation {
-        statement: prog.to_string(),
-        compiled: compiled.program.to_string(),
-        args: compiled
+/// The result of `EXPLAIN` ([`Explanation::capture`]): the statement, its
+/// BLU compilation, the parameter bindings, and the recorded execution
+/// trace.
+#[derive(Debug, Clone)]
+pub struct Explanation {
+    /// The HLU statement as written.
+    pub statement: String,
+    /// The compiled BLU lambda (Definitions 3.1.2, 3.2.3/3.2.4).
+    pub compiled: String,
+    /// Rendered parameter bindings `s1 = …`, in order.
+    pub args: Vec<String>,
+    /// The recorded span tree (empty in a no-op build).
+    pub trace: pwdb_trace::Trace,
+    /// Governed runs record what happened — `"committed"` or the error
+    /// rendering (budget exceeded, cancelled, rejected, engine panic, a
+    /// failed durable commit); see [`Explanation::with_outcome`]. `None`
+    /// for an ungoverned run.
+    pub outcome: Option<String>,
+}
+
+impl Explanation {
+    /// `EXPLAIN`: calls `run` — whatever update of `prog` the caller makes:
+    /// [`Database::run`], [`Database::run_governed`], or a durable commit —
+    /// while recording its full execution trace: the HLU→BLU translation
+    /// tree, every BLU primitive invoked (with clause counts and the
+    /// theorem's dominant cost term), and the logic-layer work underneath.
+    /// The update is applied exactly as `run` applies it; only the
+    /// observation differs. Returns the explanation together with what
+    /// `run` returned.
+    ///
+    /// In a `--no-default-features` build the update still runs but the
+    /// trace is empty.
+    pub fn capture<R>(prog: &HluProgram, run: impl FnOnce() -> R) -> (Explanation, R) {
+        let compiled = compile(prog);
+        let (result, trace) = pwdb_trace::capture(run);
+        let args = compiled
             .args
             .iter()
             .enumerate()
@@ -548,31 +518,28 @@ fn explanation_of(
                 };
                 format!("s{} = {value}", i + 1)
             })
-            .collect(),
-        trace,
-        outcome: None,
+            .collect();
+        let explanation = Explanation {
+            statement: prog.to_string(),
+            compiled: compiled.program.to_string(),
+            args,
+            trace,
+            outcome: None,
+        };
+        (explanation, result)
     }
-}
 
-/// The result of [`Database::explain`]: the statement, its BLU
-/// compilation, the parameter bindings, and the recorded execution trace.
-#[derive(Debug, Clone)]
-pub struct Explanation {
-    /// The HLU statement as written.
-    pub statement: String,
-    /// The compiled BLU lambda (Definitions 3.1.2, 3.2.3/3.2.4).
-    pub compiled: String,
-    /// Rendered parameter bindings `s1 = …`, in order.
-    pub args: Vec<String>,
-    /// The recorded span tree (empty in a no-op build).
-    pub trace: pwdb_trace::Trace,
-    /// Governed runs record what happened — `"committed"` or the error
-    /// rendering (budget exceeded, cancelled, rejected, engine panic).
-    /// `None` for ungoverned [`Database::explain`].
-    pub outcome: Option<String>,
-}
+    /// Records how a governed run ended: `"committed"`, or the error — so
+    /// a budget-exceeded `EXPLAIN` still shows how far execution got and
+    /// why it stopped.
+    pub fn with_outcome<E: std::fmt::Display>(mut self, result: &Result<(), E>) -> Explanation {
+        self.outcome = Some(match result {
+            Ok(()) => "committed".to_owned(),
+            Err(e) => e.to_string(),
+        });
+        self
+    }
 
-impl Explanation {
     /// Renders the full explanation as the HLU shell prints it.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -611,7 +578,10 @@ impl std::fmt::Display for GovernedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GovernedError::Exec(e) => e.fmt(f),
-            GovernedError::Rejected => UpdateRejected.fmt(f),
+            GovernedError::Rejected => write!(
+                f,
+                "update rejected: no possible world satisfies the constraints"
+            ),
         }
     }
 }
@@ -623,21 +593,6 @@ impl From<ExecError> for GovernedError {
         GovernedError::Exec(e)
     }
 }
-
-/// Marker for an update rejected by the §1.3.3 consistency check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateRejected;
-
-impl std::fmt::Display for UpdateRejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "update rejected: no possible world satisfies the constraints"
-        )
-    }
-}
-
-impl std::error::Error for UpdateRejected {}
 
 /// A captured database state for [`Database::rollback_to`].
 #[derive(Debug, Clone)]
@@ -833,20 +788,25 @@ mod tests {
     }
 
     #[test]
-    fn run_rejecting_restores_on_inconsistency() {
+    fn unlimited_run_governed_rejects_and_restores_on_inconsistency() {
         let mut db = InstanceDatabase::with_atoms(2).with_constraints(wff(2, "A1 -> A2"));
         db.insert(wff(2, "A1"));
         let before = db.state().clone();
         let n = db.updates_run();
         // assert ¬A2 contradicts A1→A2 ∧ A1: every world dies → rejected.
         let err = db
-            .run_rejecting(&HluProgram::Assert(wff(2, "!A2")))
+            .run_governed(&HluProgram::Assert(wff(2, "!A2")), &Limits::unlimited())
             .unwrap_err();
-        assert_eq!(err, UpdateRejected);
+        assert_eq!(err, GovernedError::Rejected);
+        assert_eq!(
+            err.to_string(),
+            "update rejected: no possible world satisfies the constraints"
+        );
         assert_eq!(db.state(), &before);
         assert_eq!(db.updates_run(), n);
         // A compatible update goes through.
-        db.run_rejecting(&HluProgram::Assert(wff(2, "A2"))).unwrap();
+        db.run_governed(&HluProgram::Assert(wff(2, "A2")), &Limits::unlimited())
+            .unwrap();
     }
 
     #[test]
@@ -859,34 +819,6 @@ mod tests {
         db.rollback_to(sp);
         assert!(db.is_certain(&wff(2, "A1")));
         assert_eq!(db.updates_run(), 1);
-    }
-
-    #[test]
-    fn transaction_commits_and_aborts() {
-        let mut db = ClausalDatabase::new();
-        let committed = db.transaction(|tx| {
-            tx.insert(wff(2, "A1"));
-            tx.insert(wff(2, "A2"));
-            true
-        });
-        assert!(committed);
-        assert!(db.is_certain(&wff(2, "A1 & A2")));
-
-        let aborted = db.transaction(|tx| {
-            tx.delete(wff(2, "A1"));
-            false // caller decides to abort
-        });
-        assert!(!aborted);
-        assert!(db.is_certain(&wff(2, "A1")));
-
-        // A transaction ending inconsistent rolls back automatically.
-        let auto_abort = db.transaction(|tx| {
-            tx.assert_wff(wff(2, "!A1"));
-            true
-        });
-        assert!(!auto_abort);
-        assert!(db.is_consistent());
-        assert!(db.is_certain(&wff(2, "A1")));
     }
 
     #[test]
@@ -937,20 +869,16 @@ mod tests {
     fn history_excises_rejections_and_rollbacks() {
         let mut db = InstanceDatabase::with_atoms(2).with_constraints(wff(2, "A1 -> A2"));
         db.insert(wff(2, "A1"));
-        db.run_rejecting(&HluProgram::Assert(wff(2, "!A2")))
+        db.run_governed(&HluProgram::Assert(wff(2, "!A2")), &Limits::unlimited())
             .unwrap_err();
         assert_eq!(db.history().len(), 1);
 
+        // A caller-side bundle: two statements undone together.
         let sp = db.savepoint();
         db.insert(wff(2, "!A1"));
-        assert_eq!(db.history().len(), 2);
+        db.delete(wff(2, "A2"));
+        assert_eq!(db.history().len(), 3);
         db.rollback_to(sp);
-        assert_eq!(db.history().len(), 1);
-
-        db.transaction(|tx| {
-            tx.delete(wff(2, "A2"));
-            false
-        });
         assert_eq!(db.history().len(), 1);
         assert_eq!(db.history()[0], HluProgram::Insert(wff(2, "A1")));
     }
@@ -1032,21 +960,35 @@ mod tests {
     }
 
     #[test]
-    fn explain_governed_records_outcome_both_ways() {
+    fn explanation_records_outcome_both_ways() {
         let mut db = ClausalDatabase::new();
         let ok_limits = Limits::budget(pwdb_logic::Budget::steps(1_000_000));
-        let (exp, result) = db.explain_governed(&HluProgram::Insert(wff(2, "A1")), &ok_limits);
+        let insert = HluProgram::Insert(wff(2, "A1"));
+        let (exp, result) = Explanation::capture(&insert, || db.run_governed(&insert, &ok_limits));
         assert!(result.is_ok());
-        assert_eq!(exp.outcome.as_deref(), Some("committed"));
+        assert_eq!(
+            exp.with_outcome(&result).outcome.as_deref(),
+            Some("committed")
+        );
 
         let tight = Limits::budget(pwdb_logic::Budget::steps(1));
         let before = db.state().clone();
-        let (exp, result) = db.explain_governed(&HluProgram::Insert(wff(2, "A2")), &tight);
+        let insert = HluProgram::Insert(wff(2, "A2"));
+        let (exp, result) = Explanation::capture(&insert, || db.run_governed(&insert, &tight));
         assert!(result.is_err());
+        let exp = exp.with_outcome(&result);
         assert!(exp.render().contains("outcome:"), "render shows outcome");
         let outcome = exp.outcome.unwrap();
         assert!(outcome.contains("budget exceeded"), "{outcome}");
         assert_eq!(db.state(), &before);
+
+        // An ungoverned run records no outcome.
+        let insert = HluProgram::Insert(wff(2, "A2"));
+        let (exp, ()) = Explanation::capture(&insert, || db.run(&insert));
+        assert_eq!(exp.outcome, None);
+        assert!(!exp.render().contains("outcome:"));
+        assert_eq!(exp.statement, "(insert {A2})");
+        assert_eq!(db.updates_run(), 2);
     }
 
     #[test]

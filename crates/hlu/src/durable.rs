@@ -2,13 +2,18 @@
 //!
 //! [`DurableDatabase`] wraps a [`ClausalDatabase`] and a
 //! [`pwdb_store::Store`] so that every committed statement is durable
-//! before the call returns:
+//! before the call returns. Every write, governed or not, runs memory
+//! first, so the log only ever sees statements that already applied:
 //!
 //! ```text
-//! run(P):   intern-events → WAL   (new atom names, in id order)
+//! run(P):   savepoint
+//!           apply P in memory     (Database::run or ::run_governed; a
+//!                                  failed governed run rolls back and
+//!                                  the WAL never sees P)
+//!           intern-events → WAL   (new atom names, in id order)
 //!           text(P)       → WAL   (canonical HLU syntax)
 //!           fsync                 ← the commit point
-//!           apply P in memory
+//!           on a log failure: roll memory back to the savepoint
 //! ```
 //!
 //! Because HLU statements are morphisms on clausal instances (§1.4), the
@@ -36,7 +41,7 @@ use pwdb_metrics::counter;
 use pwdb_store::{Record, RetryPolicy, SnapshotData, Store, StoreError, StoreStats, WriteFaults};
 
 use crate::ast::HluProgram;
-use crate::database::{ClausalDatabase, Explanation, GovernedError, UpdateRejected};
+use crate::database::{ClausalDatabase, Explanation, GovernedError};
 use crate::parser::{parse_hlu, parse_hlu_statement, HluStatement};
 
 /// Failures of the durable layer.
@@ -45,7 +50,7 @@ pub enum DurableError {
     /// The underlying filesystem failed.
     Io(io::Error),
     /// A statement failed to parse (user input via
-    /// [`DurableDatabase::run_statement`]).
+    /// [`DurableDatabase::run_statement_governed`]).
     Parse(LogicError),
     /// The stored data is not self-consistent (a logged statement no
     /// longer parses, an atom name collides, …).
@@ -60,6 +65,10 @@ pub enum DurableError {
     /// The store is in degraded read-only mode after persistent write
     /// failures: queries are still answered, updates are refused.
     ReadOnly { reason: String },
+    /// [`DurableDatabase::open_with`] was handed a database that has
+    /// already run updates: its state is not derivable from the log
+    /// alone, so recovery would replay into a different state.
+    NotFresh { updates_run: usize },
 }
 
 impl fmt::Display for DurableError {
@@ -68,11 +77,16 @@ impl fmt::Display for DurableError {
             DurableError::Io(e) => write!(f, "storage I/O error: {e}"),
             DurableError::Parse(e) => write!(f, "{e}"),
             DurableError::Corrupt(m) => write!(f, "store corrupt: {m}"),
-            DurableError::Rejected => UpdateRejected.fmt(f),
+            DurableError::Rejected => GovernedError::Rejected.fmt(f),
             DurableError::Exec(e) => e.fmt(f),
             DurableError::ReadOnly { reason } => {
                 write!(f, "store is read-only (degraded): {reason}")
             }
+            DurableError::NotFresh { updates_run } => write!(
+                f,
+                "open_with requires a fresh database, but {updates_run} update(s) \
+                 have already run (its state must be derivable from the log alone)"
+            ),
         }
     }
 }
@@ -127,7 +141,7 @@ pub struct RecoveryReport {
 ///
 /// Read access goes through `Deref<Target = ClausalDatabase>` (queries,
 /// `state()`, `history()`, `cache_stats()`); updates must go through the
-/// durable methods here, which hit the WAL before touching memory. There
+/// durable methods here, which log every statement they apply. There
 /// is deliberately no `DerefMut` — a mutable escape hatch would let
 /// statements bypass the log.
 #[derive(Debug)]
@@ -156,14 +170,15 @@ impl DurableDatabase {
     /// updates run) database, e.g. `ClausalDatabase::new_reduced()`. The
     /// configuration must match the one that wrote the directory:
     /// recovery replays statements through *this* backend, and the algebra
-    /// (reduced vs paper-exact) is part of the state machine.
+    /// (reduced vs paper-exact) is part of the state machine. A database
+    /// that has already run updates is refused with
+    /// [`DurableError::NotFresh`].
     pub fn open_with(db: ClausalDatabase, dir: &Path) -> Result<DurableDatabase, DurableError> {
-        assert_eq!(
-            db.updates_run(),
-            0,
-            "open_with requires a fresh database (its state must be \
-             derivable from the log alone)"
-        );
+        if db.updates_run() > 0 {
+            return Err(DurableError::NotFresh {
+                updates_run: db.updates_run(),
+            });
+        }
         let _sp = pwdb_trace::span!("store.recover");
         let (store, recovery) = Store::open(dir)?;
 
@@ -276,81 +291,31 @@ impl DurableDatabase {
         self.store.dir()
     }
 
-    /// Logs `prog` (WAL append + fsync), then applies it. On return the
-    /// statement is durable: recovery after any crash replays it.
+    /// Runs `prog` as [`ClausalDatabase::run`] does (ungoverned, committed
+    /// even when inconsistent), then logs it. On return the statement is
+    /// durable: recovery after any crash replays it. If logging fails
+    /// (I/O fault, degraded store), memory rolls back and the error
+    /// surfaces — memory never runs ahead of the log.
     pub fn run(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        self.log_statement(prog)?;
-        self.db.run(prog);
-        Ok(())
-    }
-
-    /// The §1.3.3 rejection discipline, durably: the update is evaluated
-    /// in memory first and only logged once it is known to commit, so a
-    /// rejected statement never reaches the WAL. If logging itself fails,
-    /// the in-memory application is rolled back and the error surfaces —
-    /// memory never runs ahead of the log.
-    pub fn run_rejecting(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        let saved = self.db.savepoint();
-        if self.db.run_rejecting(prog).is_err() {
-            return Err(DurableError::Rejected);
-        }
-        if let Err(e) = self.log_statement(prog) {
-            self.db.rollback_to(saved);
-            return Err(e);
-        }
-        Ok(())
+        self.commit(prog, |db| {
+            db.run(prog);
+            Ok(())
+        })
     }
 
     /// Runs one statement under resource `limits`, durably and
-    /// transactionally. Evaluation order is memory-first: the statement
-    /// executes through [`crate::database::Database::run_governed`] — so on
-    /// budget exhaustion, cancellation, engine panic, or the §1.3.3
+    /// transactionally, through [`crate::database::Database::run_governed`]:
+    /// on budget exhaustion, cancellation, engine panic, or the §1.3.3
     /// rejection the in-memory state rolls back bit-identically and the
     /// WAL **never sees the failed statement**. Only a committed in-memory
-    /// result is logged; if logging itself fails (I/O fault, degraded
-    /// store), memory is rolled back too, so it never runs ahead of the
-    /// log.
+    /// result is logged, and a failed log rolls memory back too.
     pub fn run_governed(&mut self, prog: &HluProgram, limits: &Limits) -> Result<(), DurableError> {
-        let saved = self.db.savepoint();
-        self.db.run_governed(prog, limits)?;
-        if let Err(e) = self.log_statement(prog) {
-            self.db.rollback_to(saved);
-            return Err(e);
-        }
-        Ok(())
+        self.commit(prog, |db| Ok(db.run_governed(prog, limits)?))
     }
 
-    /// `EXPLAIN` under limits, durably: runs exactly as
-    /// [`DurableDatabase::run_governed`] (memory-first, log on commit,
-    /// rollback on any failure) while recording the trace. The returned
-    /// explanation's `outcome` names what happened even when the governed
-    /// result is an error.
-    pub fn explain_governed(
-        &mut self,
-        prog: &HluProgram,
-        limits: &Limits,
-    ) -> (Explanation, Result<(), DurableError>) {
-        let saved = self.db.savepoint();
-        let (mut exp, result) = self.db.explain_governed(prog, limits);
-        let result = match result {
-            Ok(()) => {
-                if let Err(e) = self.log_statement(prog) {
-                    self.db.rollback_to(saved);
-                    exp.outcome = Some(e.to_string());
-                    Err(e)
-                } else {
-                    Ok(())
-                }
-            }
-            Err(e) => Err(DurableError::from(e)),
-        };
-        (exp, result)
-    }
-
-    /// Parses and runs one shell-level statement under `limits`, like
-    /// [`DurableDatabase::run_statement`] but governed. `EXPLAIN` wrappers
-    /// return the trace (with a recorded outcome) alongside the governed
-    /// result.
+    /// Parses and runs one shell-level statement under `limits`. An
+    /// `EXPLAIN` wrapper returns the trace of the whole durable commit,
+    /// with its outcome recorded, alongside the governed result.
     pub fn run_statement_governed(
         &mut self,
         text: &str,
@@ -359,30 +324,29 @@ impl DurableDatabase {
         match parse_hlu_statement(text, &mut self.atoms) {
             Ok(HluStatement::Run(prog)) => (None, self.run_governed(&prog, limits)),
             Ok(HluStatement::Explain(prog)) => {
-                let (exp, result) = self.explain_governed(&prog, limits);
-                (Some(exp), result)
+                let (exp, result) =
+                    Explanation::capture(&prog, || self.run_governed(&prog, limits));
+                (Some(exp.with_outcome(&result)), result)
             }
             Err(e) => (None, Err(DurableError::from(e))),
         }
     }
 
-    /// Parses and executes one shell-level statement. `EXPLAIN` wrappers
-    /// return the trace; the update is logged and applied either way.
-    pub fn run_statement(&mut self, text: &str) -> Result<Option<Explanation>, DurableError> {
-        match parse_hlu_statement(text, &mut self.atoms)? {
-            HluStatement::Run(prog) => {
-                self.run(&prog)?;
-                Ok(None)
-            }
-            HluStatement::Explain(prog) => self.explain(&prog).map(Some),
+    /// The one durable write path: savepoint, `apply` in memory, then log.
+    /// If `apply` fails it has already restored memory; if logging fails,
+    /// memory rolls back to the savepoint.
+    fn commit(
+        &mut self,
+        prog: &HluProgram,
+        apply: impl FnOnce(&mut ClausalDatabase) -> Result<(), DurableError>,
+    ) -> Result<(), DurableError> {
+        let saved = self.db.savepoint();
+        apply(&mut self.db)?;
+        if let Err(e) = self.log_statement(prog) {
+            self.db.rollback_to(saved);
+            return Err(e);
         }
-    }
-
-    /// `EXPLAIN`, durably: the statement is logged (it *is* applied, like
-    /// [`DurableDatabase::run`]) and the execution trace returned.
-    pub fn explain(&mut self, prog: &HluProgram) -> Result<Explanation, DurableError> {
-        self.log_statement(prog)?;
-        Ok(self.db.explain(prog))
+        Ok(())
     }
 
     /// Writes a snapshot of the current state, atomically and durably.
@@ -437,8 +401,8 @@ impl DurableDatabase {
         Ok(())
     }
 
-    /// WAL append + fsync for one statement (the write path's first two
-    /// steps). The caller applies the program afterwards. On failure the
+    /// WAL append + fsync for one statement already applied in memory
+    /// (the last step of [`DurableDatabase::commit`]). On failure the
     /// store has discarded everything buffered, so the atom watermark is
     /// rolled back with it: nothing of the failed statement — neither its
     /// `A` records nor its `S` record — is in the log.
@@ -537,7 +501,8 @@ mod tests {
     use pwdb_store::TestDir;
 
     fn run_text(db: &mut DurableDatabase, text: &str) {
-        db.run_statement(text).unwrap();
+        let prog = parse_hlu(text, db.atoms_mut()).unwrap();
+        db.run(&prog).unwrap();
     }
 
     #[test]
@@ -614,12 +579,17 @@ mod tests {
             .unwrap();
             db.atoms_mut().intern("A1");
             let not_a1 = pwdb_logic::Wff::atom(0).not();
-            assert!(matches!(
-                db.run_rejecting(&HluProgram::Assert(not_a1)),
-                Err(DurableError::Rejected)
-            ));
+            let unlimited = Limits::unlimited();
+            let err = db
+                .run_governed(&HluProgram::Assert(not_a1), &unlimited)
+                .unwrap_err();
+            assert!(matches!(err, DurableError::Rejected), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                "update rejected: no possible world satisfies the constraints"
+            );
             assert_eq!(db.store_stats().wal_records, 0);
-            db.run_rejecting(&HluProgram::Insert(pwdb_logic::Wff::atom(1)))
+            db.run_governed(&HluProgram::Insert(pwdb_logic::Wff::atom(1)), &unlimited)
                 .unwrap();
         }
         let db = DurableDatabase::open_with(
@@ -647,10 +617,28 @@ mod tests {
         let dir = TestDir::new("durable-explain");
         {
             let mut db = ClausalDatabase::open(dir.path()).unwrap();
-            let explanation = db.run_statement("EXPLAIN (insert {A1})").unwrap();
-            assert!(explanation.is_some());
+            let (explanation, result) =
+                db.run_statement_governed("EXPLAIN (insert {A1})", &Limits::unlimited());
+            result.unwrap();
+            assert_eq!(explanation.unwrap().outcome.as_deref(), Some("committed"));
         }
         let db = ClausalDatabase::open(dir.path()).unwrap();
         assert_eq!(db.updates_run(), 1);
+    }
+
+    #[test]
+    fn open_with_refuses_a_database_that_already_ran_updates() {
+        let dir = TestDir::new("durable-not-fresh");
+        let mut used = ClausalDatabase::new();
+        used.insert(pwdb_logic::Wff::atom(0));
+        let err = DurableDatabase::open_with(used, dir.path()).unwrap_err();
+        assert!(
+            matches!(err, DurableError::NotFresh { updates_run: 1 }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("1 update(s)"), "{err}");
+        // Constraints alone do not count as updates.
+        let constrained = ClausalDatabase::new().with_constraints(pwdb_logic::Wff::atom(0));
+        DurableDatabase::open_with(constrained, dir.path()).unwrap();
     }
 }

@@ -35,7 +35,6 @@ pub use ast::HluProgram;
 pub use compile::{compile, ArgValue, Compiled};
 pub use database::{
     ClausalDatabase, Database, Explanation, GovernedError, HluBackend, InstanceDatabase, Savepoint,
-    UpdateRejected,
 };
 pub use durable::{DurableDatabase, DurableError, RecoveryReport};
 pub use parser::{parse_hlu, parse_hlu_script, parse_hlu_statement, HluStatement};

@@ -12,6 +12,7 @@
 //! as evidence accumulates.
 
 use pwdb::hlu::{HluProgram, InstanceDatabase};
+use pwdb::logic::Limits;
 use pwdb::prelude::*;
 
 fn main() {
@@ -26,6 +27,9 @@ fn main() {
     // update by world elimination, §1.3.3).
     let rules = wff("(shipped -> paid) & (paid -> ordered)", &mut atoms);
     let mut db = InstanceDatabase::with_atoms(n).with_constraints(rules);
+    // No resource budget: `run_governed` then only applies the §1.3.3
+    // check, rejecting (and undoing) an update that leaves no world.
+    let unlimited = Limits::unlimited();
     println!(
         "fresh ledger: {} possible world(s) under the business rules",
         db.world_count(n)
@@ -35,15 +39,19 @@ fn main() {
     db.insert(wff("ordered", &mut atoms));
     println!("after insert(ordered):      {} worlds", db.world_count(n));
 
-    // Evidence 2, transactional: a shipment notice arrives, but the
-    // operator bundles it with a bogus "not paid" assertion — the
-    // transaction would make shipping unpaid, violating the rules, so the
-    // whole bundle rolls back.
-    let committed = db.transaction(|tx| {
-        tx.insert(wff("shipped", &mut atoms));
-        tx.assert_wff(wff("!paid", &mut atoms));
-        true
-    });
+    // Evidence 2, as a bundle: a shipment notice arrives, but the
+    // operator bundles it with a bogus "not paid" assertion — the bundle
+    // would make shipping unpaid, violating the rules. The second
+    // statement is rejected, and the savepoint taken before the bundle
+    // undoes the first one too.
+    let before_bundle = db.savepoint();
+    let committed = db
+        .run_governed(&HluProgram::Insert(wff("shipped", &mut atoms)), &unlimited)
+        .and_then(|()| db.run_governed(&HluProgram::Assert(wff("!paid", &mut atoms)), &unlimited))
+        .is_ok();
+    if !committed {
+        db.rollback_to(before_bundle);
+    }
     println!(
         "bundled (shipped, !paid):   committed = {committed}, {} worlds (rolled back)",
         db.world_count(n)
@@ -52,13 +60,13 @@ fn main() {
 
     // The shipment alone is fine — and the rules *propagate*: shipped
     // forces paid forces ordered.
-    db.run_rejecting(&HluProgram::Insert(wff("shipped", &mut atoms)))
+    db.run_governed(&HluProgram::Insert(wff("shipped", &mut atoms)), &unlimited)
         .expect("consistent update");
     println!("after insert(shipped):      {} worlds", db.world_count(n));
     assert!(db.is_certain(&wff("paid & ordered", &mut atoms)));
 
     // A direct contradiction is rejected outright.
-    let err = db.run_rejecting(&HluProgram::Assert(wff("!ordered", &mut atoms)));
+    let err = db.run_governed(&HluProgram::Assert(wff("!ordered", &mut atoms)), &unlimited);
     println!("assert(!ordered):           rejected = {}", err.is_err());
     assert!(err.is_err());
 
@@ -81,7 +89,7 @@ fn main() {
     println!("clausal engine agrees: {} worlds", clausal.world_count(n));
 
     // The audit trail itself: every statement that actually committed, in
-    // order. The rejected assert and the rolled-back transaction are
+    // order. The rejected assert and the rolled-back bundle are
     // excised — the history always derives the current state.
     println!(
         "\naudit trail ({} committed statement(s)):",

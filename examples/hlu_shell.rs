@@ -24,7 +24,7 @@
 //! :history              print every statement applied so far, in order
 //! :open <dir>           switch to a durable database stored in <dir>
 //!                       (recovers WAL + snapshots; every statement is
-//!                       fsync'd before it applies)
+//!                       fsync'd before the shell replies)
 //! :checkpoint           write a snapshot of the durable database
 //! :wal                   log / snapshot statistics of the open store
 //! :budget <steps> [live <clauses>] [wall <ms>]
@@ -114,7 +114,7 @@ enum Reply {
 }
 
 /// The database the shell is talking to: a plain in-memory one, or a
-/// durable one whose every statement hits the WAL before applying.
+/// durable one that logs every statement it applies.
 enum Backend {
     Memory {
         db: ClausalDatabase,
@@ -139,70 +139,52 @@ impl Backend {
         }
     }
 
-    /// Executes one statement line (`(...)` or `EXPLAIN (...)`). With
-    /// `limits` set (`:budget`), the statement runs governed: on budget
-    /// exhaustion, cancellation, or rejection it rolls back and the error
-    /// is reported alongside any explanation.
-    fn run_statement(
-        &mut self,
-        line: &str,
-        limits: Option<&Limits>,
-    ) -> (Option<Explanation>, Result<(), String>) {
+    /// The session vocabulary, for parsing.
+    fn atoms_mut(&mut self) -> &mut AtomTable {
         match self {
-            Backend::Memory { db, atoms } => {
-                let stmt = match parse_hlu_statement(line, atoms) {
-                    Ok(stmt) => stmt,
-                    Err(e) => return (None, Err(e.to_string())),
-                };
-                match (stmt, limits) {
-                    (HluStatement::Run(prog), None) => {
-                        db.run(&prog);
-                        (None, Ok(()))
-                    }
-                    (HluStatement::Run(prog), Some(l)) => {
-                        (None, db.run_governed(&prog, l).map_err(|e| e.to_string()))
-                    }
-                    (HluStatement::Explain(prog), None) => (Some(db.explain(&prog)), Ok(())),
-                    (HluStatement::Explain(prog), Some(l)) => {
-                        let (exp, result) = db.explain_governed(&prog, l);
-                        (Some(exp), result.map_err(|e| e.to_string()))
-                    }
-                }
-            }
-            Backend::Durable(d) => match limits {
-                None => match d.run_statement(line) {
-                    Ok(exp) => (exp, Ok(())),
-                    Err(e) => (None, Err(e.to_string())),
-                },
-                Some(l) => {
-                    let (exp, result) = d.run_statement_governed(line, l);
-                    (exp, result.map_err(|e| e.to_string()))
-                }
-            },
+            Backend::Memory { atoms, .. } => atoms,
+            Backend::Durable(d) => d.atoms_mut(),
         }
     }
 
-    /// `:explain` — always explains (no `EXPLAIN` keyword required).
-    fn explain(&mut self, text: &str) -> Result<Explanation, String> {
-        match self {
-            Backend::Memory { db, atoms } => {
-                let prog = parse_hlu(text, atoms).map_err(|e| e.to_string())?;
-                Ok(db.explain(&prog))
+    /// Runs one parsed statement. With `limits` set (`:budget`), it runs
+    /// governed: on budget exhaustion, cancellation, or rejection it rolls
+    /// back and the error is reported alongside any explanation.
+    fn run_statement(
+        &mut self,
+        stmt: HluStatement,
+        limits: Option<&Limits>,
+    ) -> (Option<Explanation>, Result<(), String>) {
+        let (prog, explain) = match stmt {
+            HluStatement::Run(prog) => (prog, false),
+            HluStatement::Explain(prog) => (prog, true),
+        };
+        let run = || match (self, limits) {
+            (Backend::Memory { db, .. }, None) => {
+                db.run(&prog);
+                Ok(())
             }
-            Backend::Durable(d) => {
-                let prog = parse_hlu(text, d.atoms_mut()).map_err(|e| e.to_string())?;
-                d.explain(&prog).map_err(|e| e.to_string())
+            (Backend::Memory { db, .. }, Some(l)) => {
+                db.run_governed(&prog, l).map_err(|e| e.to_string())
             }
+            (Backend::Durable(d), None) => d.run(&prog).map_err(|e| e.to_string()),
+            (Backend::Durable(d), Some(l)) => d.run_governed(&prog, l).map_err(|e| e.to_string()),
+        };
+        if !explain {
+            return (None, run());
         }
+        let (exp, result) = Explanation::capture(&prog, run);
+        let exp = if limits.is_some() {
+            exp.with_outcome(&result)
+        } else {
+            exp
+        };
+        (Some(exp), result)
     }
 
     /// Parses a wff against the session vocabulary.
     fn parse_wff(&mut self, text: &str) -> Result<Wff, String> {
-        let atoms = match self {
-            Backend::Memory { atoms, .. } => atoms,
-            Backend::Durable(d) => d.atoms_mut(),
-        };
-        parse_wff(text, atoms).map_err(|e| e.to_string())
+        parse_wff(text, self.atoms_mut()).map_err(|e| e.to_string())
     }
 }
 
@@ -446,25 +428,27 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
             "{count} possible world(s) over {n} atom(s)"
         )));
     }
-    if let Some(rest) = line.strip_prefix(":explain ") {
-        return Ok(Reply::Text(backend.explain(rest)?.render()));
-    }
     let is_explain = line.len() >= 7 && line.as_bytes()[..7].eq_ignore_ascii_case(b"explain");
-    if line.starts_with('(') || is_explain {
-        let limits = shell.limits.as_ref().map(|(l, _)| l);
-        return match backend.run_statement(line, limits) {
-            (Some(explanation), Ok(())) => Ok(Reply::Text(explanation.render())),
-            (Some(explanation), Err(e)) => {
-                Ok(Reply::Text(format!("{}\nerror: {e}", explanation.render())))
-            }
-            (None, Ok(())) => Ok(Reply::Text(format!(
-                "ok ({} update(s) run)",
-                backend.db().updates_run()
-            ))),
-            (None, Err(e)) => Err(e),
-        };
+    let stmt = if let Some(rest) = line.strip_prefix(":explain ") {
+        parse_hlu(rest, backend.atoms_mut()).map(HluStatement::Explain)
+    } else if line.starts_with('(') || is_explain {
+        parse_hlu_statement(line, backend.atoms_mut())
+    } else {
+        return Err(format!("unrecognized command: {line}"));
+    };
+    let stmt = stmt.map_err(|e| e.to_string())?;
+    let limits = shell.limits.as_ref().map(|(l, _)| l);
+    match backend.run_statement(stmt, limits) {
+        (Some(explanation), Ok(())) => Ok(Reply::Text(explanation.render())),
+        (Some(explanation), Err(e)) => {
+            Ok(Reply::Text(format!("{}\nerror: {e}", explanation.render())))
+        }
+        (None, Ok(())) => Ok(Reply::Text(format!(
+            "ok ({} update(s) run)",
+            backend.db().updates_run()
+        ))),
+        (None, Err(e)) => Err(e),
     }
-    Err(format!("unrecognized command: {line}"))
 }
 
 /// Renders a metrics delta: non-zero counters, then timers with call

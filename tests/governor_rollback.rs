@@ -133,8 +133,8 @@ fn durable_path_never_logs_failed_statements_and_recovery_matches() {
     let committed = ["(insert {A1 | A2})", "(assert {A3})", "(delete {A2})"];
     {
         let mut db = ClausalDatabase::open(dir.path()).unwrap();
-        db.run_statement(committed[0]).unwrap();
-        db.run_statement(committed[1]).unwrap();
+        db.run(&parse_stmt(committed[0])).unwrap();
+        db.run(&parse_stmt(committed[1])).unwrap();
 
         let pre_state = db.state().clone();
         let pre_records = db.store_stats().wal_records;

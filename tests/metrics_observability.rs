@@ -129,4 +129,7 @@ fn live_snapshot_round_trips_through_json() {
     let text = snap.to_json();
     let back = MetricsSnapshot::from_json(&text).expect("snapshot JSON must re-parse");
     assert_eq!(back, snap);
+    // The document itself renders back byte for byte.
+    let doc = pwdb_metrics::json::Json::parse(&text).expect("snapshot JSON must re-parse");
+    assert_eq!(doc.render(), text, "JSON round-trip mismatch");
 }

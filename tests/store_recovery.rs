@@ -261,11 +261,16 @@ fn named_atoms_round_trip() {
     let dir = TestDir::new("rec-names");
     {
         let mut db = ClausalDatabase::open(dir.path()).unwrap();
-        db.run_statement("(insert {rain | snow})").unwrap();
-        db.run_statement("(where {snow} (insert {plows'}) (delete {de_ice}))")
-            .unwrap();
+        for text in [
+            "(insert {rain | snow})",
+            "(where {snow} (insert {plows'}) (delete {de_ice}))",
+        ] {
+            let prog = pwdb::hlu::parse_hlu(text, db.atoms_mut()).unwrap();
+            db.run(&prog).unwrap();
+        }
         db.checkpoint().unwrap();
-        db.run_statement("(assert {!rain})").unwrap();
+        let prog = pwdb::hlu::parse_hlu("(assert {!rain})", db.atoms_mut()).unwrap();
+        db.run(&prog).unwrap();
     }
     let mut db = ClausalDatabase::open(dir.path()).unwrap();
     let names: Vec<String> = db.atoms().iter().map(|(_, n)| n.to_owned()).collect();
