@@ -2,10 +2,10 @@
 //!
 //! Runs the reduced E1–E5 workloads — plus a resolution-saturation
 //! section and a normalizing HLU script — twice: once under the naive
-//! reference engine (full-set scans, round-based closures, memo caches
-//! bypassed) and once under the indexed engine (literal-occurrence
-//! lists, signatures, semi-naive worklists, memos keyed on whole inputs,
-//! the factored `combine` and the one-index `mask`).
+//! reference engine (full-set scans, round-based closures, the genmask
+//! memo bypassed) and once under the indexed engine (literal-occurrence
+//! lists, signatures, semi-naive worklists, the genmask memo keyed on
+//! whole inputs, the factored `combine` and the one-index `mask`).
 //! The per-section metric deltas of both sides go to `BENCH_index.json`
 //! as the `index_comparison` document, with a `summary` of the headline
 //! op-cost counters.
@@ -13,9 +13,12 @@
 //! The binary *asserts* the tentpole claims: indexed must try strictly
 //! fewer subsumption comparisons and resolvent pairs than naive, the
 //! genmask memo must absorb the repeated E5 calls, and the signature
-//! filter must actually prune. Result equality between the engines is
-//! the differential harness's job (`tests/index_differential.rs`); this
-//! report measures the cost of getting those identical results.
+//! filter must actually prune. The written document must re-parse, every
+//! section's `naive` and `indexed` snapshot must decode back into a
+//! `MetricsSnapshot`, and every summary entry must be numeric. Result
+//! equality between the engines is the differential harness's job
+//! (`tests/index_differential.rs`); this report measures the cost of
+//! getting those identical results.
 
 use pwdb::logic::{with_engine, EngineMode};
 use pwdb_bench::workloads;
@@ -23,8 +26,9 @@ use pwdb_metrics::json::Json;
 use pwdb_metrics::MetricsSnapshot;
 
 /// Runs every comparison section under one engine, returning per-section
-/// metric deltas. Caches are cleared before each section so sections are
-/// independent and the indexed side always pays its first computation.
+/// metric deltas. The genmask memo is cleared before each section so
+/// sections are independent and the indexed side always pays its first
+/// computation.
 fn run_side(mode: EngineMode) -> Vec<(String, MetricsSnapshot)> {
     workloads::INDEX_COMPARISON
         .iter()
@@ -101,6 +105,7 @@ fn main() {
     let rendered = doc.render();
     let parsed = Json::parse(&rendered).expect("rendered JSON must re-parse");
     assert_eq!(parsed.render(), rendered, "JSON round-trip mismatch");
+    check_shape(&parsed);
     std::fs::write("BENCH_index.json", &rendered).expect("write BENCH_index.json");
 
     println!("wrote BENCH_index.json ({} bytes)", rendered.len());
@@ -113,5 +118,35 @@ fn main() {
             "    —".to_owned()
         };
         println!("  {counter:<34} naive {n:>10}  indexed {i:>10}  ({pct} of naive)");
+    }
+}
+
+/// Checks the re-parsed document: each section's `naive` and `indexed`
+/// snapshot decodes, and each summary counter carries both engine totals
+/// as numbers.
+fn check_shape(doc: &Json) {
+    let Some(Json::Obj(sections)) = doc.get("index_comparison") else {
+        panic!("index_comparison is not an object");
+    };
+    for (name, section) in sections {
+        for side in ["naive", "indexed"] {
+            let snap = section
+                .get(side)
+                .unwrap_or_else(|| panic!("section '{name}' is missing '{side}'"));
+            if let Err(e) = MetricsSnapshot::from_json_value(snap) {
+                panic!("section '{name}' side '{side}' does not decode: {e}");
+            }
+        }
+    }
+    let Some(Json::Obj(summary)) = doc.get("summary") else {
+        panic!("summary is not an object");
+    };
+    for (name, entry) in summary {
+        for side in ["naive", "indexed"] {
+            assert!(
+                entry.get(side).and_then(Json::as_u64).is_some(),
+                "summary '{name}' is missing a numeric '{side}'"
+            );
+        }
     }
 }

@@ -146,21 +146,6 @@ impl ClausalDatabase {
     pub fn new_reduced() -> Self {
         Database::with_backend(BluClausal::new().with_reduction(true))
     }
-}
-
-impl ClausalDatabase {
-    /// Point-in-time statistics for every memo cache the clausal stack
-    /// registers (genmask, prime implicates, `Inset`) — the data behind
-    /// the shell's `:cache` command.
-    pub fn cache_stats(&self) -> Vec<pwdb_logic::CacheStats> {
-        pwdb_logic::cache::all_stats()
-    }
-
-    /// Drops every memoized entry. Never needed for correctness (cache
-    /// keys are whole inputs); useful to isolate measurements.
-    pub fn clear_caches(&self) {
-        pwdb_logic::cache::clear_all();
-    }
 
     /// Rewrites the state into its prime-implicate canonical form
     /// (Tison): semantically equal states normalize to the *same* clause

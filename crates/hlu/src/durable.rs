@@ -53,7 +53,8 @@ pub enum DurableError {
     /// [`DurableDatabase::run_statement_governed`]).
     Parse(LogicError),
     /// The stored data is not self-consistent (a logged statement no
-    /// longer parses, an atom name collides, …).
+    /// longer parses, an atom name collides, the log lost statements the
+    /// snapshot covers, …).
     Corrupt(String),
     /// The update was rejected by the §1.3.3 consistency check and was
     /// not logged.
@@ -140,10 +141,10 @@ pub struct RecoveryReport {
 /// A clausal database whose every committed statement is durable.
 ///
 /// Read access goes through `Deref<Target = ClausalDatabase>` (queries,
-/// `state()`, `history()`, `cache_stats()`); updates must go through the
-/// durable methods here, which log every statement they apply. There
-/// is deliberately no `DerefMut` — a mutable escape hatch would let
-/// statements bypass the log.
+/// `state()`, `history()`); updates must go through the durable methods
+/// here, which log every statement they apply. There is deliberately no
+/// `DerefMut` — a mutable escape hatch would let statements bypass the
+/// log.
 #[derive(Debug)]
 pub struct DurableDatabase {
     db: ClausalDatabase,
@@ -172,7 +173,8 @@ impl DurableDatabase {
     /// recovery replays statements through *this* backend, and the algebra
     /// (reduced vs paper-exact) is part of the state machine. A database
     /// that has already run updates is refused with
-    /// [`DurableError::NotFresh`].
+    /// [`DurableError::NotFresh`], and a log that lost statements the
+    /// newest snapshot covers with [`DurableError::Corrupt`].
     pub fn open_with(db: ClausalDatabase, dir: &Path) -> Result<DurableDatabase, DurableError> {
         if db.updates_run() > 0 {
             return Err(DurableError::NotFresh {
@@ -200,6 +202,15 @@ impl DurableDatabase {
             snapshots_skipped: recovery.snapshots_skipped,
         };
         if let Some(snap) = &recovery.snapshot {
+            // The snapshot plus the log suffix must derive the state: a log
+            // that lost statements the snapshot covers cannot be replayed
+            // onto it, and new records would land below its coverage.
+            if (recovery.replay_from as u64) < snap.updates_run {
+                return Err(DurableError::Corrupt(format!(
+                    "snapshot covers {} statement(s) but the log holds only {} before its coverage",
+                    snap.updates_run, recovery.replay_from
+                )));
+            }
             db.set_state(snap.clauses.clone());
         }
 

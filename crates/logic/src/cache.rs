@@ -1,11 +1,9 @@
 //! Bounded memo caches for repeat-heavy derived structures.
 //!
-//! `genmask(Φ)`, the prime-implicate closure, and `Inset[Φ]` are pure
-//! functions of their inputs, and real update workloads call them again
-//! and again on the same states — every `insert` recomputes the genmask
-//! of its parameter, every `normalize` re-closes states that interleave
-//! with queries. A [`MemoCache`] keys each result on the whole input (a
-//! [`crate::ClauseSet`], a formula), so staleness is impossible by
+//! One cache uses this module: the `blu.cache.genmask` memo of
+//! `genmask(Φ)`, a pure function of the state that every `insert`
+//! recomputes for its parameter. A [`MemoCache`] keys each result on the
+//! whole input (a [`crate::ClauseSet`]), so staleness is impossible by
 //! construction: a changed state is a different key. Invalidation
 //! therefore exists for *memory*, not for correctness — caches are
 //! bounded ([`MemoCache::new`]'s capacity) and flushed wholesale when an
@@ -19,8 +17,8 @@
 //! the differential harness compare engines rather than cache hits.
 //!
 //! Hit/miss/eviction counts are kept per cache (visible through
-//! [`all_stats`] — the shell's `:cache` command) and mirrored into
-//! `pwdb-metrics` counters `<name>.hits` / `<name>.misses`.
+//! [`all_stats`]) and mirrored into `pwdb-metrics` counters
+//! `<name>.hits` / `<name>.misses`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -29,7 +27,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::engine::{engine_mode, EngineMode};
 
-/// A point-in-time view of one cache, for the shell's `:cache` command.
+/// A point-in-time view of one cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// The cache's dotted name (`"blu.cache.genmask"`).
@@ -76,8 +74,8 @@ pub fn all_stats() -> Vec<CacheStats> {
         .collect()
 }
 
-/// Clears every registered cache (used between differential runs and by
-/// the shell's `:cache clear`).
+/// Clears every registered cache (used to make measurement runs start
+/// cold).
 pub fn clear_all() {
     for c in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
         c.clear();

@@ -6,11 +6,11 @@
 //! (`tests/index_differential.rs`):
 //!
 //! * [`EngineMode::Naive`] — the paper-direct O(n²) pairwise algorithms,
-//!   preserved verbatim in [`crate::reference`]; memoized caches are
+//!   preserved verbatim in [`crate::reference`]; the genmask memo is
 //!   bypassed, so this mode reproduces the pre-index behavior exactly.
 //! * [`EngineMode::Indexed`] — the default: literal-occurrence lists plus
 //!   per-clause signature words ([`crate::index`]), semi-naive delta
-//!   evaluation of resolution closures, and memo caches keyed on whole
+//!   evaluation of resolution closures, and a genmask memo keyed on whole
 //!   inputs ([`crate::cache`]).
 //!
 //! The mode is a process-wide atomic so a whole stack (BLU, HLU, wilkins,
@@ -25,7 +25,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// The paper-direct pairwise algorithms ([`crate::reference`]), with
-    /// all memo caches bypassed.
+    /// the genmask memo bypassed.
     Naive,
     /// The literal-indexed engine with memoization.
     #[default]

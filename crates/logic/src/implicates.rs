@@ -16,31 +16,16 @@
 //! verbatim.
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 use pwdb_metrics::counter;
 use pwdb_trace::span;
 
 use crate::atom::AtomId;
-use crate::cache::MemoCache;
 use crate::clause_set::ClauseSet;
 use crate::engine::{engine_mode, EngineMode};
 use crate::index::{IndexedClauseSet, Slot};
 use crate::literal::Literal;
 use crate::resolution::resolvent;
-
-/// The prime-implicate memo: keyed on the input set itself, so equal sets
-/// hit regardless of how they were built. Pure (the closure is a function
-/// of the set), bounded, bypassed under the naive engine.
-fn pi_cache() -> &'static MemoCache<ClauseSet, ClauseSet> {
-    static CACHE: OnceLock<&'static MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        static INNER: OnceLock<MemoCache<ClauseSet, ClauseSet>> = OnceLock::new();
-        INNER
-            .get_or_init(|| MemoCache::new("logic.cache.prime_implicates", 512))
-            .register()
-    })
-}
 
 /// Computes the set of prime implicates of `set`.
 ///
@@ -50,15 +35,12 @@ fn pi_cache() -> &'static MemoCache<ClauseSet, ClauseSet> {
 /// Tison's fixpoint is canonical (the subsumption-minimal one-atom
 /// closures are unique), so the naive engine
 /// ([`crate::reference::prime_implicates`]) and the indexed worklist
-/// below return bit-identical sets; the indexed engine additionally
-/// memoizes whole closures keyed on the input set.
+/// below return bit-identical sets.
 pub fn prime_implicates(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.implicates.prime", "clauses_in" => set.len());
     let out = match engine_mode() {
         EngineMode::Naive => crate::reference::prime_implicates(set),
-        EngineMode::Indexed => {
-            pi_cache().get_or_insert_with(set.clone(), || prime_implicates_indexed(set))
-        }
+        EngineMode::Indexed => prime_implicates_indexed(set),
     };
     sp.attr("clauses_out", out.len());
     out

@@ -200,11 +200,6 @@ impl Store {
                 }
             }
         }
-        // A snapshot claiming records the (truncated) log no longer has:
-        // trust the snapshot, nothing left to replay.
-        if snapshot_records.unwrap_or(0) > scan.records.len() as u64 {
-            replay_from = statements.len();
-        }
 
         let wal = wal::Wal::open(&wal_path, scan.valid_bytes, scan.records.len() as u64)?;
         let store = Store {

@@ -28,29 +28,10 @@
 //! base `LB[Φ]` itself for small universes, used by tests to confirm that
 //! the complete members coincide with [`inset`]'s output.
 
-use std::sync::OnceLock;
-
-use pwdb_logic::cache::MemoCache;
 use pwdb_logic::{AtomId, Literal, Wff};
 
 use crate::worldset::WorldSet;
 use crate::World;
-
-/// The `Inset[Φ]` memo: keyed on the formula AST plus the universe size
-/// (the same wff over a larger universe has the same inset, but the key
-/// stays exact rather than clever). Pure, bounded, bypassed under the
-/// naive engine.
-type InsetMemo = MemoCache<(usize, Wff), Vec<Vec<Literal>>>;
-
-fn inset_cache() -> &'static InsetMemo {
-    static CACHE: OnceLock<&'static InsetMemo> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        static INNER: OnceLock<InsetMemo> = OnceLock::new();
-        INNER
-            .get_or_init(|| MemoCache::new("worlds.cache.inset", 1024))
-            .register()
-    })
-}
 
 /// The atoms `Φ` semantically depends on: `Dep[Mod[{φ}]]` over a universe
 /// of `n` atoms. By Theorem 1.5.4 these are exactly the letters an
@@ -67,11 +48,6 @@ pub fn relevant_atoms(wff: &Wff, n_atoms: usize) -> Vec<AtomId> {
 /// `φ` hold); for a tautology it is `{∅}`, making the induced insertion
 /// the identity (Remark 1.4.7).
 pub fn inset(wff: &Wff, n_atoms: usize) -> Vec<Vec<Literal>> {
-    inset_cache().get_or_insert_with((n_atoms, wff.clone()), || inset_fresh(wff, n_atoms))
-}
-
-/// The uncached `Inset[Φ]` computation behind [`inset`].
-fn inset_fresh(wff: &Wff, n_atoms: usize) -> Vec<Vec<Literal>> {
     let worlds = WorldSet::from_wff(n_atoms, wff);
     if worlds.is_empty() {
         return Vec::new();

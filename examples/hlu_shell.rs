@@ -17,8 +17,6 @@
 //! :explain <program>    same as EXPLAIN
 //! :trace on|off         print a span tree after every command
 //! :metrics              metric deltas since the previous :metrics
-//! :cache                per-cache hit/miss/entry statistics
-//! :cache clear          drop every memoized entry
 //! :state                print the clause-set state
 //! :atoms                print the interned vocabulary
 //! :history              print every statement applied so far, in order
@@ -321,29 +319,6 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
         let delta = now.delta(&shell.last_metrics);
         shell.last_metrics = now;
         return Ok(Reply::Text(render_metrics(&delta)));
-    }
-    if line == ":cache" {
-        let stats = backend.db().cache_stats();
-        if stats.is_empty() {
-            return Ok(Reply::Text(
-                "(no caches registered yet — run an update first)".to_owned(),
-            ));
-        }
-        let mut out = String::from(
-            "cache                                    entries   hits  misses  flushes\n",
-        );
-        for s in stats {
-            out.push_str(&format!(
-                "  {:<38} {:>7} {:>6} {:>7} {:>8}\n",
-                s.name, s.entries, s.hits, s.misses, s.invalidations
-            ));
-        }
-        out.pop();
-        return Ok(Reply::Text(out));
-    }
-    if line == ":cache clear" {
-        backend.db().clear_caches();
-        return Ok(Reply::Text("caches cleared".to_owned()));
     }
     if let Some(arg) = line.strip_prefix(":trace") {
         match arg.trim() {

@@ -1,0 +1,116 @@
+//! Counters that must match the work done exactly.
+//!
+//! `pwdb-metrics` counters are process-global, so exact deltas are only
+//! trustworthy where nothing else runs concurrently. This binary
+//! therefore holds a single test, run in sequence: one governor outcome
+//! counter per governed statement, one fsync per durable commit, one
+//! snapshot write per checkpoint, a replay count equal to the log suffix
+//! recovery re-applied, and one degraded-mode entry per outage. Gated on
+//! the `metrics` feature — under `--no-default-features` the counters are
+//! compiled out and this binary is empty.
+#![cfg(feature = "metrics")]
+
+use pwdb::hlu::{ClausalDatabase, GovernedError};
+use pwdb::logic::{Budget, ExecError, Limits, Rng, Wff};
+use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
+use pwdb_suite::testgen;
+
+const STATEMENTS: usize = 64;
+
+/// The counter `name`'s delta across `f`, with `f`'s result.
+fn delta<T>(name: &str, f: impl FnOnce() -> T) -> (u64, T) {
+    let before = pwdb_metrics::snapshot();
+    let out = f();
+    (pwdb_metrics::snapshot().delta(&before).counter(name), out)
+}
+
+#[test]
+fn counters_match_the_work_done() {
+    let mut rng = Rng::new(0x570BE);
+    let programs: Vec<_> = (0..STATEMENTS)
+        .map(|_| testgen::hlu_program(&mut rng, 4))
+        .collect();
+    let mut oracle = ClausalDatabase::new();
+    for p in &programs {
+        oracle.run(p);
+    }
+
+    // Each governed statement lands in exactly one outcome counter.
+    let generous = Limits::budget(Budget::steps(u64::MAX / 2));
+    let tight = Limits::budget(Budget::steps(100_000));
+    let corpus = testgen::exponential_update_corpus(24, 2);
+    let mut governed = ClausalDatabase::new();
+    let before = pwdb_metrics::snapshot();
+    let stream = programs.iter().map(|p| (p, &generous));
+    let stream = stream.chain(corpus.iter().map(|p| (p, &tight)));
+    let results: Vec<_> = stream
+        .map(|(p, limits)| governed.run_governed(p, limits))
+        .collect();
+    let d = pwdb_metrics::snapshot().delta(&before);
+    let count = |pred: fn(&Result<(), GovernedError>) -> bool| {
+        results.iter().filter(|r| pred(r)).count() as u64
+    };
+    assert_eq!(d.counter("governor.stmt.total"), results.len() as u64);
+    assert_eq!(d.counter("governor.stmt.committed"), count(|r| r.is_ok()));
+    assert_eq!(
+        d.counter("governor.stmt.rejected"),
+        count(|r| matches!(r, Err(GovernedError::Rejected)))
+    );
+    assert_eq!(
+        d.counter("governor.stmt.budget_exceeded"),
+        count(|r| matches!(
+            r,
+            Err(GovernedError::Exec(ExecError::BudgetExceeded { .. }))
+        ))
+    );
+    assert_eq!(
+        d.counter("governor.stmt.budget_exceeded"),
+        corpus.len() as u64
+    );
+
+    // One fsync per durable commit.
+    let dir = TestDir::new("metrics-fsync");
+    let mut db = ClausalDatabase::open(dir.path()).unwrap();
+    let (fsyncs, ()) = delta("store.wal.fsyncs", || {
+        for p in &programs {
+            db.run(p).unwrap();
+        }
+    });
+    assert_eq!(fsyncs as usize, STATEMENTS);
+    assert_eq!(db.state(), oracle.state(), "durable run diverged");
+    drop(db);
+
+    // Without a snapshot, recovery replays every statement.
+    let (replayed, db) = delta("store.recover.replayed", || {
+        ClausalDatabase::open(dir.path()).unwrap()
+    });
+    assert_eq!(replayed as usize, STATEMENTS);
+    assert_eq!(db.recovery_report().replayed, STATEMENTS);
+    assert_eq!(db.state(), oracle.state(), "log recovery diverged");
+
+    // One checkpoint writes one snapshot; recovery from it replays none.
+    let mut db = db;
+    let (writes, _) = delta("store.snapshot.writes", || db.checkpoint().unwrap());
+    assert_eq!(writes, 1);
+    drop(db);
+    let (replayed, db) = delta("store.recover.replayed", || {
+        ClausalDatabase::open(dir.path()).unwrap()
+    });
+    assert_eq!(replayed, 0);
+    assert_eq!(db.recovery_report().replayed, 0);
+    assert_eq!(db.recovery_report().from_snapshot, STATEMENTS);
+    assert_eq!(db.state(), oracle.state(), "snapshot recovery diverged");
+
+    // A persistent write fault degrades the store once; reads go on.
+    let mut db = db;
+    db.inject_write_faults(WriteFaults::persistent_from(0, WriteFaultKind::Eio));
+    db.set_retry_policy(RetryPolicy::none());
+    let (entered, result) = delta("store.degraded.entered", || db.run(&programs[0]));
+    assert!(result.is_err());
+    assert_eq!(entered, 1);
+    assert!(db.is_degraded());
+    assert_eq!(
+        db.is_certain(&Wff::atom(0)),
+        oracle.is_certain(&Wff::atom(0))
+    );
+}

@@ -24,7 +24,7 @@
 //!    prefix.
 
 use pwdb::hlu::{ClausalDatabase, DurableError, GovernedError, HluProgram};
-use pwdb::logic::{with_engine, Budget, EngineMode, ExecError, Limits, Resource};
+use pwdb::logic::{with_engine, Budget, EngineMode, ExecError, Limits, Resource, Wff};
 use pwdb::store::TestDir;
 use pwdb_suite::testgen;
 
@@ -174,6 +174,43 @@ fn durable_path_never_logs_failed_statements_and_recovery_matches() {
     }
     assert_eq!(recovered.state(), oracle.state());
     assert_eq!(recovered.history(), oracle.history());
+}
+
+/// Governing a benign stream changes nothing but the bookkeeping: under a
+/// generous budget every `insert`/`delete`/`modify` commits, and the run
+/// ends in the same state and history as the ungoverned one. (These
+/// statements never drive the state inconsistent, so the governed path's
+/// §1.3.3 check never refuses one.)
+#[test]
+fn generous_budget_commits_a_benign_stream_like_the_ungoverned_run() {
+    let mut rng = pwdb::logic::Rng::new(0x0EA_4EAD);
+    let stream: Vec<HluProgram> = (0..400)
+        .map(|_| {
+            let i = rng.below(4) as u32;
+            let a = Wff::atom(i);
+            // Distinct atoms: `a & !a` would be unsatisfiable and refused.
+            let b = Wff::atom((i + 1 + rng.below(3) as u32) % 4);
+            match rng.below(4) {
+                0 => HluProgram::Insert(a.or(b)),
+                1 => HluProgram::Insert(a.and(b.not())),
+                2 => HluProgram::Delete(a),
+                _ => HluProgram::Modify(a, b),
+            }
+        })
+        .collect();
+
+    let mut ungoverned = ClausalDatabase::new();
+    let mut governed = ClausalDatabase::new();
+    let generous = Limits::budget(Budget::steps(u64::MAX / 2));
+    for (i, stmt) in stream.iter().enumerate() {
+        ungoverned.run(stmt);
+        governed
+            .run_governed(stmt, &generous)
+            .unwrap_or_else(|e| panic!("statement {i} must commit: {e:?}"));
+    }
+    assert_eq!(governed.updates_run(), stream.len());
+    assert_eq!(governed.state(), ungoverned.state());
+    assert_eq!(governed.history(), ungoverned.history());
 }
 
 /// Parses a statement over the default `A<i>` table.

@@ -2,15 +2,15 @@
 //! identical to the naive reference engine.
 //!
 //! Every test runs the same seeded computation twice — once under
-//! `EngineMode::Naive` (full-set scans, round-based closures, memo caches
-//! bypassed) and once under `EngineMode::Indexed` (literal-occurrence
-//! lists, signature filters, semi-naive worklists, memos keyed on whole
-//! inputs, the factored `combine` and the one-index `mask`) —
+//! `EngineMode::Naive` (full-set scans, round-based closures, the genmask
+//! memo bypassed) and once under `EngineMode::Indexed` (literal-occurrence
+//! lists, signature filters, semi-naive worklists, the genmask memo keyed
+//! on whole inputs, the factored `combine` and the one-index `mask`) —
 //! and asserts bit-identical results. Together the suites replay well
 //! over 200 seeded programs: raw engine operations, all five BLU-C
 //! primitives under the reduced algebra, full HLU scripts checked against
-//! the possible-worlds backend, `Inset[Φ]` computations, and the
-//! emulation squares of Theorems 2.3.4/2.3.6/2.3.9.
+//! the possible-worlds backend, and the emulation squares of Theorems
+//! 2.3.4/2.3.6/2.3.9.
 
 use std::collections::BTreeSet;
 
@@ -21,7 +21,7 @@ use pwdb::logic::subsumption::{insert_with_subsumption, merge_with_subsumption};
 use pwdb::logic::{
     prime_implicates, with_engine, AtomId, Clause, ClauseSet, EngineMode, Literal, Rng,
 };
-use pwdb::worlds::{inset, WorldSet};
+use pwdb::worlds::WorldSet;
 use pwdb_suite::testgen;
 
 const N_ATOMS: usize = 5;
@@ -326,21 +326,6 @@ fn hlu_scripts_agree() {
         }
         let queries: Vec<_> = (0..3).map(|_| testgen::wff(&mut rng, N_ATOMS, 2)).collect();
         check_script(&format!("modify/where chain #{case}"), &script, &queries);
-    }
-}
-
-/// `Inset[Φ]` (Definition 1.4.4): the memoized indexed path and the
-/// cache-bypassing naive path enumerate the same complete literal sets —
-/// including on the second call, which the indexed engine answers from
-/// the memo.
-#[test]
-fn inset_agrees() {
-    let mut rng = Rng::new(0xD1F4);
-    for case in 0..64 {
-        let w = testgen::wff(&mut rng, N_ATOMS, 2);
-        run_both(&format!("inset #{case}"), || {
-            (inset(&w, N_ATOMS), inset(&w, N_ATOMS))
-        });
     }
 }
 

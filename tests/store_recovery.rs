@@ -14,7 +14,7 @@
 //! temporary snapshot files. Set `PWDB_STORE_FAULT_CASES` to scale the
 //! seeded matrix (default 24 cases per matrix test).
 
-use pwdb::hlu::{ClausalDatabase, DurableDatabase, HluProgram};
+use pwdb::hlu::{ClausalDatabase, DurableDatabase, DurableError, HluProgram};
 use pwdb::logic::{AtomId, AtomTable, Rng};
 use pwdb::store::fault;
 use pwdb::store::{Record, TestDir};
@@ -252,6 +252,36 @@ fn stale_snapshot_with_long_log() {
     assert_identical(&db, &programs);
     let r = db.recovery_report();
     assert_eq!((r.from_snapshot, r.replayed), (2, 18));
+}
+
+/// Media damage: the log lost acknowledged statements that the newest
+/// snapshot covers. The snapshot plus the log can no longer derive the
+/// state, and a record appended to the short log would fall below the
+/// snapshot's coverage and vanish at the next reopen. Recovery refuses
+/// with `Corrupt` naming both counts instead of opening.
+#[test]
+fn snapshot_ahead_of_the_log_is_corrupt() {
+    let mut rng = Rng::new(0xA4EAD);
+    let dir = TestDir::new("rec-ahead");
+    let programs = script(&mut rng, 7);
+    let mut commit_points = Vec::with_capacity(programs.len());
+    {
+        let mut db = ClausalDatabase::open(dir.path()).unwrap();
+        for p in &programs {
+            db.run(p).unwrap();
+            commit_points.push(db.store_stats().wal_bytes);
+        }
+        db.checkpoint().unwrap();
+    }
+    fault::truncate_file(&wal_path(&dir), commit_points[1]).unwrap();
+
+    let err = ClausalDatabase::open(dir.path()).unwrap_err();
+    assert!(matches!(err, DurableError::Corrupt(_)), "{err:?}");
+    let message = err.to_string();
+    assert!(
+        message.contains("7 statement(s)") && message.contains("only 2"),
+        "{message}"
+    );
 }
 
 /// Named atoms (not the default `A<i>` vocabulary) survive the round
