@@ -44,7 +44,7 @@ use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
 use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom, resolvent};
 use pwdb_logic::{engine_mode, AtomId, Clause, ClauseSet, EngineMode, IndexedClauseSet, Literal};
-use pwdb_metrics::{counter, histogram, timer};
+use pwdb_metrics::counter;
 use pwdb_trace::span;
 
 use crate::eval::BluSemantics;
@@ -358,115 +358,93 @@ impl BluSemantics for BluClausal {
     type State = ClauseSet;
     type Mask = BTreeSet<AtomId>;
 
-    // Each primitive records, under the theorem whose bound it witnesses
-    // (2.3.4(b) for assert/combine/complement, 2.3.6(b) for mask,
-    // 2.3.9(b) for genmask): call count, input length L (total literal
-    // count, the paper's measure), wall time, and an output-size
-    // histogram. The trace span per call carries the theorem's dominant
-    // cost term as its `cost` attribute. See docs/PAPER_MAP.md.
+    // Each primitive opens one timed span, under the theorem whose bound
+    // it witnesses (2.3.4(b) for assert/combine/complement, 2.3.6(b) for
+    // mask, 2.3.9(b) for genmask): its `blu.X.wall` timer counts the calls
+    // and their wall time, and the span carries the theorem's dominant
+    // cost term as its `cost` attribute (in the input length L, the
+    // paper's total literal count, where the bound is stated over it).
+    // Attributes are computed only while tracing. See docs/PAPER_MAP.md.
 
     fn op_assert(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
-        counter!("blu.assert.calls").inc();
-        counter!("blu.assert.in_length").add((x.length() + y.length()) as u64);
         let sp = span!(
             "blu.clausal.assert",
+            timer = "blu.assert.wall",
             "in_clauses" => x.len() + y.len(),
             "cost" => x.length() + y.length(), // Θ(L₁+L₂), Thm 2.3.4(b)
         );
-        let out = {
-            let _t = timer!("blu.assert.wall").start();
-            Self::assert_clauses(x, y)
-        };
-        histogram!("blu.assert.out_length").record(out.length() as u64);
+        let out = Self::assert_clauses(x, y);
         sp.attr("out_clauses", out.len());
         out
     }
 
     fn op_combine(&self, x: &ClauseSet, y: &ClauseSet) -> ClauseSet {
-        counter!("blu.combine.calls").inc();
-        counter!("blu.combine.in_length").add((x.length() + y.length()) as u64);
-        let sp = span!("blu.clausal.combine", "in_clauses" => x.len() + y.len());
-        let out = {
-            let _t = timer!("blu.combine.wall").start();
-            // The factored form multiplies only the residues; the shared
-            // clauses join the product unchanged (module docs).
-            let split = self.delta_driven().then(|| Self::split_shared(x, y));
-            let (shared, a, b) = match &split {
-                Some([shared, a, b]) => (shared.len(), a, b),
-                None => (0, x, y),
-            };
-            let products = a.length() * b.length();
-            counter!("blu.combine.products").add(products as u64);
-            sp.attr("shared", shared);
-            sp.attr("cost", products); // Θ(L₁×L₂), Thm 2.3.4(b)
-            let mut out = Self::combine_clauses(a, b);
-            if let Some([shared, ..]) = split {
-                out.extend(shared);
-            }
-            self.maybe_reduce(out)
+        let sp = span!(
+            "blu.clausal.combine",
+            timer = "blu.combine.wall",
+            "in_clauses" => x.len() + y.len(),
+        );
+        // The factored form multiplies only the residues; the shared
+        // clauses join the product unchanged (module docs).
+        let split = self.delta_driven().then(|| Self::split_shared(x, y));
+        let (shared, a, b) = match &split {
+            Some([shared, a, b]) => (shared.len(), a, b),
+            None => (0, x, y),
         };
-        histogram!("blu.combine.out_length").record(out.length() as u64);
+        let products = a.length() * b.length();
+        counter!("blu.combine.products").add(products as u64);
+        sp.attr("shared", shared);
+        sp.attr("cost", products); // Θ(L₁×L₂), Thm 2.3.4(b)
+        let mut out = Self::combine_clauses(a, b);
+        if let Some([shared, ..]) = split {
+            out.extend(shared);
+        }
+        let out = self.maybe_reduce(out);
         sp.attr("out_clauses", out.len());
         out
     }
 
     fn op_complement(&self, x: &ClauseSet) -> ClauseSet {
-        counter!("blu.complement.calls").inc();
-        counter!("blu.complement.in_length").add(x.length() as u64);
         let sp = span!(
             "blu.clausal.complement",
+            timer = "blu.complement.wall",
             "in_clauses" => x.len(),
             "cost" => x.length(), // output is Θ(ε^L) in this L, Thm 2.3.4(b)
         );
-        let out = {
-            let _t = timer!("blu.complement.wall").start();
-            self.maybe_reduce(Self::complement_clauses(x))
-        };
-        histogram!("blu.complement.out_length").record(out.length() as u64);
+        let out = self.maybe_reduce(Self::complement_clauses(x));
         sp.attr("out_clauses", out.len());
         out
     }
 
     fn op_mask(&self, x: &ClauseSet, m: &BTreeSet<AtomId>) -> ClauseSet {
-        counter!("blu.mask.calls").inc();
-        counter!("blu.mask.in_length").add(x.length() as u64);
-        counter!("blu.mask.letters").add(m.len() as u64);
         let sp = span!(
             "blu.clausal.mask",
+            timer = "blu.mask.wall",
             "in_clauses" => x.len(),
             "letters" => m.len(),
             "cost" => x.length(), // O(L^{2^|P|}) in this L, Thm 2.3.6(b)
         );
-        let out = {
-            let _t = timer!("blu.mask.wall").start();
-            self.mask_clauses(x, m)
-        };
-        histogram!("blu.mask.out_length").record(out.length() as u64);
+        let out = self.mask_clauses(x, m);
         sp.attr("out_clauses", out.len());
         out
     }
 
     fn op_genmask(&self, x: &ClauseSet) -> BTreeSet<AtomId> {
-        counter!("blu.genmask.calls").inc();
-        counter!("blu.genmask.in_length").add(x.length() as u64);
-        let sp = span!("blu.clausal.genmask", "in_clauses" => x.len());
-        if sp.is_recording() {
-            // Θ(2^|Prop|·L·|Prop|²), Thm 2.3.9(b): record the dominant
-            // 2^|Prop| factor (saturating; |Prop| can exceed 63 under the
-            // SAT strategy). Gated: props() walks the whole set.
-            let props = x.props().len();
-            sp.attr("props", props);
-            sp.attr("cost", 1u64.checked_shl(props as u32).unwrap_or(u64::MAX));
-        }
-        let out = {
-            let _t = timer!("blu.genmask.wall").start();
-            let key = (self.genmask_strategy as u8, x.clone());
-            genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
-                GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
-                GenmaskStrategy::SatBased => Self::genmask_sat(x),
-            })
-        };
-        histogram!("blu.genmask.mask_size").record(out.len() as u64);
+        // Θ(2^|Prop|·L·|Prop|²), Thm 2.3.9(b): `cost` is the dominant
+        // 2^|Prop| factor (saturating; |Prop| can exceed 63 under the SAT
+        // strategy).
+        let sp = span!(
+            "blu.clausal.genmask",
+            timer = "blu.genmask.wall",
+            "in_clauses" => x.len(),
+            "props" => x.props().len(),
+            "cost" => 1u64.checked_shl(x.props().len() as u32).unwrap_or(u64::MAX),
+        );
+        let key = (self.genmask_strategy as u8, x.clone());
+        let out = genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
+            GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
+            GenmaskStrategy::SatBased => Self::genmask_sat(x),
+        });
         sp.attr("mask_size", out.len());
         out
     }

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use pwdb_metrics::counter;
 use pwdb_trace::span;
 
 use crate::ast::{MTerm, Param, Program, STerm, Sort};
@@ -153,7 +152,6 @@ pub fn eval_sterm<A: BluSemantics + ?Sized>(
     match term {
         STerm::Var(v) => env.state(v).cloned(),
         STerm::Assert(a, b) => {
-            counter!("blu.eval.assert").inc();
             // The span guard covers both subterm evaluations and the op,
             // so the trace tree mirrors the BLU term tree.
             let _sp = span!("blu.eval.assert");
@@ -162,20 +160,17 @@ pub fn eval_sterm<A: BluSemantics + ?Sized>(
             Ok(alg.op_assert(&x, &y))
         }
         STerm::Combine(a, b) => {
-            counter!("blu.eval.combine").inc();
             let _sp = span!("blu.eval.combine");
             let x = eval_sterm(alg, a, env)?;
             let y = eval_sterm(alg, b, env)?;
             Ok(alg.op_combine(&x, &y))
         }
         STerm::Complement(a) => {
-            counter!("blu.eval.complement").inc();
             let _sp = span!("blu.eval.complement");
             let x = eval_sterm(alg, a, env)?;
             Ok(alg.op_complement(&x))
         }
         STerm::Mask(a, m) => {
-            counter!("blu.eval.mask").inc();
             let _sp = span!("blu.eval.mask");
             let x = eval_sterm(alg, a, env)?;
             let mm = eval_mterm(alg, m, env)?;
@@ -193,7 +188,6 @@ pub fn eval_mterm<A: BluSemantics + ?Sized>(
     match term {
         MTerm::Var(v) => env.mask(v).cloned(),
         MTerm::Genmask(s) => {
-            counter!("blu.eval.genmask").inc();
             let _sp = span!("blu.eval.genmask");
             let x = eval_sterm(alg, s, env)?;
             Ok(alg.op_genmask(&x))

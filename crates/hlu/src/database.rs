@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use pwdb_blu::{run_program, BluClausal, BluInstance, BluSemantics, Value};
 use pwdb_logic::{cnf_of, governor, AtomId, ClauseSet, ExecError, Limits, LogicError, Wff};
-use pwdb_metrics::{counter, timer};
+use pwdb_metrics::counter;
 use pwdb_worlds::{Schema, WorldSet};
 
 use crate::ast::HluProgram;
@@ -245,10 +245,7 @@ impl<B: HluBackend> Database<B> {
     /// oracles use it; [`Database::run_governed`] is the transactional
     /// path.
     pub fn run(&mut self, prog: &HluProgram) {
-        counter!("hlu.stmt.total").inc();
-        stmt_counter(prog).inc();
-        let _t = timer!("hlu.update.wall").start();
-        let _sp = pwdb_trace::span(stmt_span_name(prog));
+        let _sp = stmt_span(prog);
         let compiled = compile(prog);
         let mut args: Vec<Value<B::State, B::Mask>> = Vec::with_capacity(compiled.args.len() + 1);
         args.push(Value::State(self.state.clone()));
@@ -261,9 +258,7 @@ impl<B: HluBackend> Database<B> {
         let mut next = run_program(&self.backend, &compiled.program, args)
             .expect("compiled programs bind all parameters");
         if let Some(con) = &self.constraints {
-            counter!("hlu.constraints.enforcements").inc();
-            let _tc = timer!("hlu.constraints.wall").start();
-            let _spc = pwdb_trace::span!("hlu.constraints");
+            let _sp = pwdb_trace::span!("hlu.constraints", timer = "hlu.constraints.wall");
             next = self.backend.op_assert(&next, con);
         }
         self.state = next;
@@ -298,9 +293,7 @@ impl<B: HluBackend> Database<B> {
 
     /// Whether `wff` holds in every possible world.
     pub fn is_certain(&self, wff: &Wff) -> bool {
-        counter!("hlu.query.certain.calls").inc();
-        let _t = timer!("hlu.query.certain.wall").start();
-        let _sp = pwdb_trace::span!("hlu.query.certain");
+        let _sp = pwdb_trace::span!("hlu.query.certain", timer = "hlu.query.certain.wall");
         self.backend.certain(&self.state, wff)
     }
 
@@ -311,9 +304,7 @@ impl<B: HluBackend> Database<B> {
     /// world, so it makes `¬wff` (vacuously) certain and the answer is
     /// `false` without a separate consistency check.
     pub fn is_possible(&self, wff: &Wff) -> bool {
-        counter!("hlu.query.possible.calls").inc();
-        let _t = timer!("hlu.query.possible.wall").start();
-        let _sp = pwdb_trace::span!("hlu.query.possible");
+        let _sp = pwdb_trace::span!("hlu.query.possible", timer = "hlu.query.possible.wall");
         !self.backend.certain(&self.state, &wff.clone().not())
     }
 
@@ -426,30 +417,23 @@ fn governed_outcome(e: &ExecError) -> &'static str {
     }
 }
 
-/// The per-variant statement counter for [`Database::run`].
-fn stmt_counter(prog: &HluProgram) -> &'static pwdb_metrics::Counter {
-    match prog {
-        HluProgram::Identity => counter!("hlu.stmt.identity"),
-        HluProgram::Assert(_) => counter!("hlu.stmt.assert"),
-        HluProgram::Clear(_) => counter!("hlu.stmt.clear"),
-        HluProgram::Insert(_) => counter!("hlu.stmt.insert"),
-        HluProgram::Delete(_) => counter!("hlu.stmt.delete"),
-        HluProgram::Modify(_, _) => counter!("hlu.stmt.modify"),
-        HluProgram::Where(_, _, _) => counter!("hlu.stmt.where"),
+/// The `hlu.stmt.<kind>` span for [`Database::run`], timed by the timer
+/// of the same name: its count is the statement mix, its total the time
+/// per kind.
+fn stmt_span(prog: &HluProgram) -> pwdb_trace::SpanGuard {
+    macro_rules! timed {
+        ($name:literal) => {
+            pwdb_trace::span!($name, timer = $name)
+        };
     }
-}
-
-/// The `hlu.stmt.*` span family (one name per statement kind, matching
-/// the counter family above).
-fn stmt_span_name(prog: &HluProgram) -> &'static str {
     match prog {
-        HluProgram::Identity => "hlu.stmt.identity",
-        HluProgram::Assert(_) => "hlu.stmt.assert",
-        HluProgram::Clear(_) => "hlu.stmt.clear",
-        HluProgram::Insert(_) => "hlu.stmt.insert",
-        HluProgram::Delete(_) => "hlu.stmt.delete",
-        HluProgram::Modify(_, _) => "hlu.stmt.modify",
-        HluProgram::Where(_, _, _) => "hlu.stmt.where",
+        HluProgram::Identity => timed!("hlu.stmt.identity"),
+        HluProgram::Assert(_) => timed!("hlu.stmt.assert"),
+        HluProgram::Clear(_) => timed!("hlu.stmt.clear"),
+        HluProgram::Insert(_) => timed!("hlu.stmt.insert"),
+        HluProgram::Delete(_) => timed!("hlu.stmt.delete"),
+        HluProgram::Modify(_, _) => timed!("hlu.stmt.modify"),
+        HluProgram::Where(_, _, _) => timed!("hlu.stmt.where"),
     }
 }
 
@@ -464,7 +448,7 @@ pub struct Explanation {
     pub compiled: String,
     /// Rendered parameter bindings `s1 = …`, in order.
     pub args: Vec<String>,
-    /// The recorded span tree (empty in a no-op build).
+    /// The recorded span tree.
     pub trace: pwdb_trace::Trace,
     /// Governed runs record what happened — `"committed"` or the error
     /// rendering (budget exceeded, cancelled, rejected, engine panic, a
@@ -482,9 +466,6 @@ impl Explanation {
     /// The update is applied exactly as `run` applies it; only the
     /// observation differs. Returns the explanation together with what
     /// `run` returned.
-    ///
-    /// In a `--no-default-features` build the update still runs but the
-    /// trace is empty.
     pub fn capture<R>(prog: &HluProgram, run: impl FnOnce() -> R) -> (Explanation, R) {
         let compiled = compile(prog);
         let (result, trace) = pwdb_trace::capture(run);

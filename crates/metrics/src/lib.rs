@@ -2,47 +2,141 @@
 //!
 //! The paper's central empirical claims are complexity bounds (Theorems
 //! 2.3.4(b), 2.3.6(b), 2.3.9(b)); this crate makes those costs visible at
-//! runtime without pulling in any external crate. It provides three metric
-//! kinds, all hand-rolled on `std::sync::atomic` and `std::time::Instant`:
+//! runtime without pulling in any external crate. It provides two metric
+//! kinds, both hand-rolled on `std::sync::atomic`:
 //!
 //! * [`Counter`] — a monotone `AtomicU64` event count;
-//! * [`Timer`] — accumulated wall time (count + total nanoseconds),
-//!   recorded via a drop guard from [`Timer::start`];
-//! * [`Histogram`] — a log2-bucketed size distribution (count, sum and
-//!   one bucket per power of two).
+//! * [`Timer`] — accumulated wall time (count + total nanoseconds). The
+//!   engine feeds its timers through `pwdb_trace` span guards, so a
+//!   timer's count is the number of calls of the operation it times.
 //!
-//! Metrics are named with dotted paths (`"blu.combine.calls"`) and live in
+//! Metrics are named with dotted paths (`"blu.combine.wall"`) and live in
 //! a global registry; handles are `&'static` and lock-free on the hot
-//! path. The [`counter!`], [`timer!`] and [`histogram!`] macros cache the
-//! registry lookup in a per-call-site `OnceLock` so steady-state cost is
-//! one relaxed atomic op.
-//!
-//! # Feature-gated no-op mode
-//!
-//! With the `enabled` feature off (build the workspace with
-//! `--no-default-features`) every type becomes a zero-sized struct with
-//! inlined empty methods and the macros expand to a `'static` promoted
-//! unit reference, so instrumented call sites compile to nothing. The
-//! [`MetricsSnapshot`] type is available in both modes; in no-op mode
-//! [`snapshot`] returns an empty one.
+//! path. The [`counter!`] and [`timer!`] macros cache the registry lookup
+//! in a per-call-site `OnceLock` so steady-state cost is one relaxed
+//! atomic op.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
 pub mod json;
 mod snapshot;
 
-pub use snapshot::{HistogramStat, MetricsSnapshot, TimerStat};
+pub use snapshot::{MetricsSnapshot, TimerStat};
 
-#[cfg(feature = "enabled")]
-mod real;
-#[cfg(feature = "enabled")]
-pub use real::{counter, histogram, reset, snapshot, timer, Counter, Histogram, Timer, TimerGuard};
+/// A monotone event counter on a relaxed `AtomicU64`.
+#[derive(Debug)]
+pub struct Counter(AtomicU64);
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{counter, histogram, reset, snapshot, timer, Counter, Histogram, Timer, TimerGuard};
+impl Counter {
+    #[inline]
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Accumulated wall time: an event count plus total elapsed nanoseconds.
+#[derive(Debug)]
+pub struct Timer {
+    count: AtomicU64,
+    total_ns: AtomicU64,
+}
+
+impl Timer {
+    /// Records one timed event that took `elapsed`.
+    #[inline]
+    pub fn observe(&self, elapsed: Duration) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    pub fn total_ns(&self) -> u64 {
+        self.total_ns.load(Ordering::Relaxed)
+    }
+}
+
+#[derive(Default)]
+struct Registry {
+    counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
+    timers: Mutex<BTreeMap<&'static str, &'static Timer>>,
+}
+
+/// No registry operation panics while holding a lock, so a poisoned
+/// lock is a bug.
+const POISONED: &str = "a thread panicked while holding the metrics registry lock";
+
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::default)
+}
+
+/// The counter registered under `name` (created on first use).
+pub fn counter(name: &'static str) -> &'static Counter {
+    let mut map = registry().counters.lock().expect(POISONED);
+    map.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(Counter(AtomicU64::new(0)))))
+}
+
+/// The timer registered under `name` (created on first use).
+pub fn timer(name: &'static str) -> &'static Timer {
+    let mut map = registry().timers.lock().expect(POISONED);
+    map.entry(name).or_insert_with(|| {
+        Box::leak(Box::new(Timer {
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+        }))
+    })
+}
+
+/// A point-in-time copy of every registered metric.
+pub fn snapshot() -> MetricsSnapshot {
+    let reg = registry();
+    let mut snap = MetricsSnapshot::default();
+    for (name, c) in reg.counters.lock().expect(POISONED).iter() {
+        snap.counters.insert((*name).to_owned(), c.get());
+    }
+    for (name, t) in reg.timers.lock().expect(POISONED).iter() {
+        snap.timers.insert(
+            (*name).to_owned(),
+            TimerStat {
+                count: t.count(),
+                total_ns: t.total_ns(),
+            },
+        );
+    }
+    snap
+}
+
+/// Zero every registered metric (handles stay valid).
+pub fn reset() {
+    let reg = registry();
+    for c in reg.counters.lock().expect(POISONED).values() {
+        c.0.store(0, Ordering::Relaxed);
+    }
+    for t in reg.timers.lock().expect(POISONED).values() {
+        t.count.store(0, Ordering::Relaxed);
+        t.total_ns.store(0, Ordering::Relaxed);
+    }
+}
 
 /// Look up (and cache per call site) the counter with the given name.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
@@ -52,17 +146,7 @@ macro_rules! counter {
     }};
 }
 
-/// No-op expansion: a `'static` zero-sized handle; calls inline to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {
-        &$crate::Counter
-    };
-}
-
 /// Look up (and cache per call site) the timer with the given name.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! timer {
     ($name:expr) => {{
@@ -72,40 +156,10 @@ macro_rules! timer {
     }};
 }
 
-/// No-op expansion: a `'static` zero-sized handle; calls inline to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! timer {
-    ($name:expr) => {
-        &$crate::Timer
-    };
-}
-
-/// Look up (and cache per call site) the histogram with the given name.
-#[cfg(feature = "enabled")]
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static __PWDB_HISTOGRAM: ::std::sync::OnceLock<&'static $crate::Histogram> =
-            ::std::sync::OnceLock::new();
-        *__PWDB_HISTOGRAM.get_or_init(|| $crate::histogram($name))
-    }};
-}
-
-/// No-op expansion: a `'static` zero-sized handle; calls inline to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {
-        &$crate::Histogram
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_are_monotone() {
         let c = counter("test.monotone");
@@ -122,7 +176,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn macro_caches_same_handle() {
         let a = counter!("test.macro_cached");
@@ -133,42 +186,15 @@ mod tests {
         assert_eq!(counter("test.macro_cached_other").get(), 2);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timer_accumulates() {
-        let t = timer("test.timer");
-        {
-            let _g = t.start();
-            std::hint::black_box(1 + 1);
-        }
-        assert_eq!(t.count(), 1);
-        {
-            let _g = t.start();
-        }
-        assert_eq!(t.count(), 2);
+        let t = timer!("test.timer");
+        t.observe(Duration::from_nanos(40));
+        assert_eq!((t.count(), t.total_ns()), (1, 40));
+        t.observe(Duration::from_nanos(2));
+        assert_eq!((t.count(), t.total_ns()), (2, 42));
     }
 
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let h = histogram("test.hist");
-        for v in [0u64, 1, 2, 3, 4, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1010);
-        let snap = snapshot();
-        let stat = &snap.histograms["test.hist"];
-        // 0 -> bucket 0; 1 -> bucket 1; 2,3 -> bucket 2; 4 -> bucket 3;
-        // 1000 -> bucket 10.
-        assert_eq!(stat.buckets[&0], 1);
-        assert_eq!(stat.buckets[&1], 1);
-        assert_eq!(stat.buckets[&2], 2);
-        assert_eq!(stat.buckets[&3], 1);
-        assert_eq!(stat.buckets[&10], 1);
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn snapshot_delta_subtracts() {
         let c = counter("test.delta");
@@ -177,31 +203,6 @@ mod tests {
         c.add(7);
         let after = snapshot();
         assert_eq!(after.delta(&before).counter("test.delta"), 7);
-    }
-
-    /// In no-op mode the whole API must still typecheck and run — and
-    /// observe nothing.
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn noop_mode_observes_nothing() {
-        let c = counter!("test.noop");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let t = timer!("test.noop.t");
-        {
-            let _g = t.start();
-        }
-        assert_eq!(t.count(), 0);
-        let h = histogram!("test.noop.h");
-        h.record(42);
-        assert_eq!(h.sum(), 0);
-        assert!(snapshot().counters.is_empty());
-        // Zero-cost claim, structurally: all handles are zero-sized.
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Timer>(), 0);
-        assert_eq!(std::mem::size_of::<TimerGuard>(), 0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
     }
 
     #[test]
@@ -214,17 +215,6 @@ mod tests {
             TimerStat {
                 count: 2,
                 total_ns: 12345,
-            },
-        );
-        let mut buckets = std::collections::BTreeMap::new();
-        buckets.insert(0u32, 1u64);
-        buckets.insert(7, 4);
-        snap.histograms.insert(
-            "h.y".into(),
-            HistogramStat {
-                count: 5,
-                sum: 640,
-                buckets,
             },
         );
         let text = snap.to_json();

@@ -12,22 +12,12 @@ pub struct TimerStat {
     pub total_ns: u64,
 }
 
-/// A histogram's accumulated state; `buckets` maps the log2 bucket index
-/// (0 = zeros, `i` = values in `[2^(i-1), 2^i - 1]`) to its count.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct HistogramStat {
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: BTreeMap<u32, u64>,
-}
-
 /// A point-in-time copy of every registered metric, detached from the
-/// registry. Available in both the enabled and no-op builds.
+/// registry.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub timers: BTreeMap<String, TimerStat>,
-    pub histograms: BTreeMap<String, HistogramStat>,
 }
 
 impl MetricsSnapshot {
@@ -57,29 +47,6 @@ impl MetricsSnapshot {
                 out.timers.insert(name.clone(), d);
             }
         }
-        for (name, h) in &self.histograms {
-            let empty = HistogramStat::default();
-            let e = earlier.histograms.get(name).unwrap_or(&empty);
-            let mut buckets = BTreeMap::new();
-            for (&idx, &n) in &h.buckets {
-                let d = n.saturating_sub(e.buckets.get(&idx).copied().unwrap_or(0));
-                if d > 0 {
-                    buckets.insert(idx, d);
-                }
-            }
-            let count = h.count.saturating_sub(e.count);
-            let sum = h.sum.saturating_sub(e.sum);
-            if count > 0 || sum > 0 || !buckets.is_empty() {
-                out.histograms.insert(
-                    name.clone(),
-                    HistogramStat {
-                        count,
-                        sum,
-                        buckets,
-                    },
-                );
-            }
-        }
         out
     }
 
@@ -99,27 +66,9 @@ impl MetricsSnapshot {
                 ]),
             )
         }));
-        let histograms = Json::obj(self.histograms.iter().map(|(k, h)| {
-            (
-                k.clone(),
-                Json::obj([
-                    ("count".to_owned(), Json::UInt(h.count)),
-                    ("sum".to_owned(), Json::UInt(h.sum)),
-                    (
-                        "buckets".to_owned(),
-                        Json::obj(
-                            h.buckets
-                                .iter()
-                                .map(|(&idx, &n)| (idx.to_string(), Json::UInt(n))),
-                        ),
-                    ),
-                ]),
-            )
-        }));
         Json::obj([
             ("counters".to_owned(), counters),
             ("timers".to_owned(), timers),
-            ("histograms".to_owned(), histograms),
         ])
     }
 
@@ -153,28 +102,6 @@ impl MetricsSnapshot {
                     TimerStat {
                         count: u64_field(value, "count")?,
                         total_ns: u64_field(value, "total_ns")?,
-                    },
-                );
-            }
-        }
-        if let Some(pairs) = v.get("histograms").and_then(Json::as_obj) {
-            for (name, value) in pairs {
-                let mut buckets = BTreeMap::new();
-                if let Some(bs) = value.get("buckets").and_then(Json::as_obj) {
-                    for (idx, n) in bs {
-                        let idx: u32 = idx
-                            .parse()
-                            .map_err(|_| bad("bucket index not an integer"))?;
-                        let n = n.as_u64().ok_or_else(|| bad("bucket count not integer"))?;
-                        buckets.insert(idx, n);
-                    }
-                }
-                snap.histograms.insert(
-                    name.clone(),
-                    HistogramStat {
-                        count: u64_field(value, "count")?,
-                        sum: u64_field(value, "sum")?,
-                        buckets,
                     },
                 );
             }

@@ -22,58 +22,55 @@
 //! * [`Trace::render_tree`] renders an indented tree;
 //!   [`export_chrome`] emits Chrome trace-event JSON (reusing
 //!   [`pwdb_metrics::json::Json`]) loadable in `chrome://tracing`.
+//! * [`timed_span`] / `span!(name, timer = "...")` open a span whose
+//!   guard also feeds a `pwdb_metrics` [`Timer`](pwdb_metrics::Timer)
+//!   on drop, recording or not. It is the engine's one instrumentation
+//!   point per timed operation: the timer's count is the call count.
 //!
-//! # Feature-gated no-op mode
-//!
-//! With the `enabled` feature off (build the workspace with
-//! `--no-default-features`) the whole API collapses to inlined no-ops
-//! and [`SpanGuard`] is a zero-sized type, mirroring `pwdb-metrics`:
-//! instrumented call sites compile out entirely. Even in an enabled
-//! build, recording is **off by default** per thread — call sites pay a
-//! single thread-local flag check until [`set_enabled`] turns tracing
-//! on or [`capture`] scopes it around one call.
+//! Recording is **off by default** per thread — call sites pay a single
+//! thread-local flag check until [`set_enabled`] turns tracing on or
+//! [`capture`] scopes it around one call.
 
 mod record;
+mod tracer;
 
 pub use record::{export_chrome, AttrValue, SpanRecord, Trace};
-
-#[cfg(feature = "enabled")]
-mod real;
-#[cfg(feature = "enabled")]
-pub use real::{
-    capture, is_enabled, set_capacity, set_enabled, span, take, SpanGuard, DEFAULT_CAPACITY,
+pub use tracer::{
+    capture, is_enabled, set_capacity, set_enabled, span, take, timed_span, SpanGuard,
+    DEFAULT_CAPACITY,
 };
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    capture, is_enabled, set_capacity, set_enabled, span, take, SpanGuard, DEFAULT_CAPACITY,
-};
+#[doc(hidden)]
+pub use pwdb_metrics as __metrics;
 
-/// Opens a span for the enclosing scope, optionally attaching initial
-/// attributes:
+/// Opens a span for the enclosing scope, optionally timed and with
+/// initial attributes:
 ///
 /// ```
-/// # use pwdb_trace::span;
 /// let _sp = pwdb_trace::span!("blu.clausal.assert");
 /// let _sp2 = pwdb_trace::span!("blu.clausal.combine", "in_left" => 3u64, "in_right" => 4u64);
+/// let _sp3 = pwdb_trace::span!("blu.clausal.mask", timer = "blu.mask.wall", "letters" => 2u64);
 /// ```
 ///
-/// Unlike the metrics macros this one has a single definition for both
-/// modes: [`span`] and [`SpanGuard::attr`] exist (with identical
-/// signatures) in the enabled and no-op builds, so the expansion
-/// monomorphizes to nothing when tracing is compiled out.
+/// `timer = "<name>"` makes the guard feed the named timer (looked up
+/// once per call site). The attribute expressions are evaluated only
+/// when the span records, so an expensive cost term costs nothing while
+/// tracing is off.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-    ($name:expr, $($key:expr => $value:expr),+ $(,)?) => {{
-        let __pwdb_span = $crate::span($name);
-        $(__pwdb_span.attr($key, $value);)+
+    (@attrs $guard:expr $(, $key:expr => $value:expr)*) => {{
+        let __pwdb_span = $guard;
+        if __pwdb_span.is_recording() {
+            $(__pwdb_span.attr($key, $value);)*
+        }
         __pwdb_span
     }};
+    ($name:expr, timer = $timer:expr $(, $key:expr => $value:expr)* $(,)?) => {
+        $crate::span!(@attrs $crate::timed_span($name, $crate::__metrics::timer!($timer)) $(, $key => $value)*)
+    };
+    ($name:expr $(, $key:expr => $value:expr)* $(,)?) => {
+        $crate::span!(@attrs $crate::span($name) $(, $key => $value)*)
+    };
 }
 
 #[cfg(test)]
@@ -88,7 +85,6 @@ mod tests {
         capture(f)
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_lexically() {
         let (_, trace) = with_recording(|| {
@@ -108,7 +104,6 @@ mod tests {
         assert!(pre[0].dur_ns >= pre[1].dur_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn attributes_attach_to_the_right_span() {
         let (_, trace) = with_recording(|| {
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(pre[1].attrs, vec![("mode", AttrValue::Str("fast".into()))]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_thread_records_nothing() {
         let _ = take();
@@ -139,7 +133,6 @@ mod tests {
         assert!(take().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_buffer_bounds_memory_and_counts_drops() {
         set_capacity(8);
@@ -155,7 +148,6 @@ mod tests {
         assert!(text.contains("12 span(s) dropped"), "{text}");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn capture_restores_ambient_ring_and_flag() {
         let _ = take();
@@ -180,7 +172,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn capture_returns_the_closure_result() {
         let (n, trace) = with_recording(|| {
@@ -191,7 +182,6 @@ mod tests {
         assert_eq!(trace.spans.len(), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timestamps_are_monotone_and_nested() {
         let (_, trace) = with_recording(|| {
@@ -204,20 +194,38 @@ mod tests {
         assert!(child.start_ns + child.dur_ns <= parent.start_ns + parent.dur_ns);
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn noop_mode_observes_nothing_and_is_zero_sized() {
-        set_enabled(true);
-        assert!(!is_enabled());
+    fn attribute_expressions_run_only_while_recording() {
+        let _ = take();
+        let runs = std::cell::Cell::new(0u64);
+        let costly = || {
+            runs.set(runs.get() + 1);
+            7u64
+        };
         {
-            let sp = span!("ghost", "k" => 1u64);
-            assert!(!sp.is_recording());
-            sp.attr("x", "y");
+            let _sp = span!("lazy", "cost" => costly());
         }
-        assert!(take().is_empty());
-        let (n, trace) = capture(|| 7);
-        assert_eq!(n, 7);
-        assert!(trace.is_empty());
-        assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
+        assert_eq!(runs.get(), 0, "an inert span must not evaluate attributes");
+        let ((), trace) = with_recording(|| {
+            let _sp = span!("lazy", "cost" => costly());
+        });
+        assert_eq!(runs.get(), 1);
+        assert_eq!(trace.spans[0].attr_u64("cost"), Some(7));
+    }
+
+    #[test]
+    fn timed_spans_feed_their_timer_whether_or_not_recording() {
+        let _ = take();
+        let timer = pwdb_metrics::timer("test.trace.timed");
+        {
+            let _sp = span!("timed", timer = "test.trace.timed");
+        }
+        assert_eq!(timer.count(), 1);
+        let ((), trace) = with_recording(|| {
+            let _sp = span!("timed", timer = "test.trace.timed", "k" => 1u64);
+        });
+        assert_eq!(timer.count(), 2);
+        assert_eq!(trace.names_pre_order(), vec!["timed"]);
+        assert!(take().is_empty(), "the inert span must not have recorded");
     }
 }

@@ -1,6 +1,5 @@
 //! Completed-span records, trace trees, and the Chrome trace-event
-//! exporter. Available in both the enabled and no-op builds (in no-op
-//! mode every [`Trace`] is simply empty).
+//! exporter.
 
 use std::collections::BTreeMap;
 use std::fmt;

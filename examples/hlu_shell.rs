@@ -324,13 +324,8 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
         match arg.trim() {
             "on" => {
                 pwdb_trace::set_enabled(true);
-                let on = pwdb_trace::is_enabled();
-                shell.trace_on = on;
-                return Ok(Reply::Text(if on {
-                    "tracing on".to_owned()
-                } else {
-                    "tracing unavailable (built without the `trace` feature)".to_owned()
-                }));
+                shell.trace_on = true;
+                return Ok(Reply::Text("tracing on".to_owned()));
             }
             "off" => {
                 shell.trace_on = false;

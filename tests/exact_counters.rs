@@ -2,13 +2,11 @@
 //!
 //! `pwdb-metrics` counters are process-global, so exact deltas are only
 //! trustworthy where nothing else runs concurrently. This binary
-//! therefore holds a single test, run in sequence: one governor outcome
-//! counter per governed statement, one fsync per durable commit, one
-//! snapshot write per checkpoint, a replay count equal to the log suffix
-//! recovery re-applied, and one degraded-mode entry per outage. Gated on
-//! the `metrics` feature — under `--no-default-features` the counters are
-//! compiled out and this binary is empty.
-#![cfg(feature = "metrics")]
+//! therefore holds a single test, run in sequence: one timer event per
+//! span of each timed operation, one governor outcome counter per
+//! governed statement, one fsync per durable commit, one snapshot write
+//! per checkpoint, a replay count equal to the log suffix recovery
+//! re-applied, and one degraded-mode entry per outage.
 
 use pwdb::hlu::{ClausalDatabase, GovernedError};
 use pwdb::logic::{Budget, ExecError, Limits, Rng, Wff};
@@ -33,6 +31,52 @@ fn counters_match_the_work_done() {
     let mut oracle = ClausalDatabase::new();
     for p in &programs {
         oracle.run(p);
+    }
+
+    // Each timed operation's timer counts exactly its spans: the BLU
+    // primitives, the statement kinds, the queries and the constraint
+    // enforcement.
+    pwdb_trace::set_capacity(1 << 22);
+    let before = pwdb_metrics::snapshot();
+    let ((), trace) = pwdb_trace::capture(|| {
+        let mut db = ClausalDatabase::new().with_constraints(Wff::atom(0).or(Wff::atom(1)));
+        for p in &programs {
+            db.run(p);
+            db.is_certain(&Wff::atom(2));
+            db.is_possible(&Wff::atom(3));
+        }
+    });
+    pwdb_trace::set_capacity(pwdb_trace::DEFAULT_CAPACITY);
+    assert_eq!(trace.dropped, 0, "the ring must hold every span");
+    let d = pwdb_metrics::snapshot().delta(&before);
+    let calls = |timer: &str| d.timers.get(timer).map_or(0, |t| t.count);
+    let spans = |name: &str| trace.spans.iter().filter(|s| s.name == name).count() as u64;
+    for op in ["assert", "combine", "complement", "mask", "genmask"] {
+        let timer = format!("blu.{op}.wall");
+        assert!(calls(&timer) > 0, "{timer} never ran");
+        assert_eq!(
+            calls(&timer),
+            spans(&format!("blu.clausal.{op}")),
+            "{timer}"
+        );
+    }
+    let kinds = [
+        "identity", "assert", "clear", "insert", "delete", "modify", "where",
+    ];
+    let mut statements = 0;
+    for kind in kinds {
+        let name = format!("hlu.stmt.{kind}");
+        assert_eq!(calls(&name), spans(&name), "{name}");
+        statements += calls(&name);
+    }
+    assert_eq!(statements, STATEMENTS as u64);
+    for (timer, span) in [
+        ("hlu.query.certain.wall", "hlu.query.certain"),
+        ("hlu.query.possible.wall", "hlu.query.possible"),
+        ("hlu.constraints.wall", "hlu.constraints"),
+    ] {
+        assert_eq!(calls(timer), STATEMENTS as u64, "{timer}");
+        assert_eq!(spans(span), STATEMENTS as u64, "{span}");
     }
 
     // Each governed statement lands in exactly one outcome counter.

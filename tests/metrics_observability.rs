@@ -1,9 +1,6 @@
 //! End-to-end observability: driving the public BLU/HLU APIs must light up
 //! the corresponding metric families, and live snapshots must survive the
-//! hand-written JSON round-trip. Gated on the `metrics` feature — under
-//! `--no-default-features` the instrumentation is compiled out and this
-//! binary is empty.
-#![cfg(feature = "metrics")]
+//! hand-written JSON round-trip.
 
 use std::collections::BTreeSet;
 
@@ -22,6 +19,11 @@ fn delta_of(f: impl FnOnce()) -> MetricsSnapshot {
     pwdb_metrics::snapshot().delta(&before)
 }
 
+/// How many times the timer `name` fired in the delta `d`.
+fn calls(d: &MetricsSnapshot, name: &str) -> u64 {
+    d.timers.get(name).map_or(0, |t| t.count)
+}
+
 #[test]
 fn blu_primitives_bump_their_counters() {
     let mut rng = Rng::new(0x0B5E_0001);
@@ -38,26 +40,16 @@ fn blu_primitives_bump_their_counters() {
         std::hint::black_box(alg.op_genmask(&x));
     });
 
+    // Each primitive's timer counts its calls.
     for name in [
-        "blu.assert.calls",
-        "blu.combine.calls",
-        "blu.complement.calls",
-        "blu.mask.calls",
-        "blu.genmask.calls",
+        "blu.assert.wall",
+        "blu.combine.wall",
+        "blu.complement.wall",
+        "blu.mask.wall",
+        "blu.genmask.wall",
     ] {
-        assert!(
-            d.counter(name) >= 1,
-            "{name} did not fire: {:?}",
-            d.counters
-        );
+        assert!(calls(&d, name) >= 1, "{name} did not fire: {:?}", d.timers);
     }
-    // Input-size accounting fired alongside the calls.
-    assert!(d.counter("blu.assert.in_length") > 0);
-    // Wall time was attributed to each primitive.
-    assert!(d.timers.contains_key("blu.assert.wall"));
-    assert!(d.timers.contains_key("blu.genmask.wall"));
-    // Output sizes landed in the histograms.
-    assert!(d.histograms.contains_key("blu.assert.out_length"));
 }
 
 #[test]
@@ -70,7 +62,7 @@ fn sat_genmask_drives_the_dpll_counters() {
             std::hint::black_box(alg.op_genmask(&phi));
         }
     });
-    assert!(d.counter("blu.genmask.calls") >= 4);
+    assert!(calls(&d, "blu.genmask.wall") >= 4);
     assert!(
         d.counter("logic.dpll.solves") > 0,
         "SAT strategy must reach DPLL"
@@ -91,12 +83,10 @@ fn hlu_database_bumps_statement_and_query_counters() {
             std::hint::black_box(db.is_possible(&q));
         }
     });
-    assert!(d.counter("hlu.stmt.total") >= 6);
-    assert!(d.counter("hlu.stmt.insert") >= 6);
-    assert!(d.counter("hlu.query.certain.calls") >= 4);
-    assert!(d.counter("hlu.query.possible.calls") >= 4);
-    assert!(d.timers.contains_key("hlu.update.wall"));
-    assert!(d.timers.contains_key("hlu.query.certain.wall"));
+    // The statement timer is named per kind: its count is the mix.
+    assert!(calls(&d, "hlu.stmt.insert") >= 6);
+    assert!(calls(&d, "hlu.query.certain.wall") >= 4);
+    assert!(calls(&d, "hlu.query.possible.wall") >= 4);
 }
 
 #[test]

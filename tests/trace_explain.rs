@@ -1,9 +1,8 @@
 //! End-to-end tracing: `EXPLAIN`ing an HLU statement must produce a span
 //! tree whose shape matches the paper's translation semantics (§3.2,
-//! Definitions 3.2.3/3.2.4), and the same statements must compile and run
-//! with the tracer compiled out (`--no-default-features`). A durable
-//! `EXPLAIN` explains the same execution as an in-memory one, and one whose
-//! commit fails names the failure and leaves no trace in state or log.
+//! Definitions 3.2.3/3.2.4). A durable `EXPLAIN` explains the same
+//! execution as an in-memory one, and one whose commit fails names the
+//! failure and leaves no trace in state or log.
 //!
 //! Unlike `metrics_observability.rs`, these tests need no delta
 //! gymnastics: the span ring is thread-local, so parallel tests cannot
@@ -90,7 +89,6 @@ fn durable_explain_under_a_write_fault_names_the_error_and_changes_nothing() {
     assert_eq!(db.updates_run(), updates_run);
 }
 
-#[cfg(feature = "trace")]
 mod with_tracer {
     use super::*;
 
@@ -265,22 +263,5 @@ mod with_tracer {
         assert!(text.contains("compiled:"), "{text}");
         assert!(text.contains("hlu.stmt.insert"), "{text}");
         assert!(text.contains("blu.clausal.assert"), "{text}");
-    }
-}
-
-/// With `--no-default-features` the tracer is compiled out: the same
-/// EXPLAIN statement must still parse, run, and render — just without
-/// spans.
-#[cfg(not(feature = "trace"))]
-mod without_tracer {
-    use super::*;
-
-    #[test]
-    fn explain_still_runs_with_tracer_compiled_out() {
-        let e = explained("EXPLAIN (insert {a | b})", &[]);
-        assert!(e.trace.is_empty());
-        let text = e.render();
-        assert!(text.contains("statement: (insert {A1 | A2})"), "{text}");
-        assert!(text.contains("(empty trace)"), "{text}");
     }
 }
