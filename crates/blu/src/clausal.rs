@@ -137,7 +137,6 @@ impl BluClausal {
         for c1 in phi1.iter() {
             for c2 in phi2.iter() {
                 governor::step_n((c1.len() + c2.len()) as u64 + 1);
-                governor::on_live_clauses(out.len() + 1);
                 out.insert(c1.disjoin(c2));
             }
         }
@@ -168,7 +167,6 @@ impl BluClausal {
             let mut next = ClauseSet::new();
             for d in delta.iter() {
                 governor::step_n((d.len() * gamma.len().max(1)) as u64 + 1);
-                governor::on_live_clauses(next.len() + gamma.len());
                 for &lambda in gamma.literals() {
                     next.insert(d.disjoin(&Clause::unit(lambda.negated())));
                 }

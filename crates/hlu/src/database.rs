@@ -223,11 +223,11 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Every program applied so far, in order — the database's statement
-    /// history. Failed [`Database::run_governed`] statements and updates
-    /// undone by [`Database::rollback_to`] are excised, so the history
-    /// always *derives* the current state from the initial one (replaying
-    /// it on a fresh database reproduces `state()` exactly). [`Database::set_state`]
-    /// breaks that derivation and clears the history.
+    /// history. Failed [`Database::run_governed`] statements never enter
+    /// it, so the history always *derives* the current state from the
+    /// initial one (replaying it on a fresh database reproduces `state()`
+    /// exactly). [`Database::set_state`] breaks that derivation and clears
+    /// the history.
     pub fn history(&self) -> &[HluProgram] {
         &self.history
     }
@@ -240,11 +240,17 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Runs one HLU program against the current state — the paper's
-    /// morphism, applied as is: ungoverned, and committed even when it
+    /// morphism, applied as is: ungoverned, and installed even when it
     /// leaves no possible world (an inconsistent `assert`). Replay and the
-    /// oracles use it; [`Database::run_governed`] is the transactional
-    /// path.
+    /// oracles use it; [`Database::run_governed`] is the checked path.
     pub fn run(&mut self, prog: &HluProgram) {
+        let next = self.next_state(prog);
+        self.install(prog, next);
+    }
+
+    /// The state `prog` maps the current state to, with the constraints
+    /// asserted. The database itself is untouched.
+    pub(crate) fn next_state(&self, prog: &HluProgram) -> B::State {
         let _sp = stmt_span(prog);
         let compiled = compile(prog);
         let mut args: Vec<Value<B::State, B::Mask>> = Vec::with_capacity(compiled.args.len() + 1);
@@ -255,12 +261,20 @@ impl<B: HluBackend> Database<B> {
                 ArgValue::Mask(m) => Value::Mask(self.backend.lower_mask(m)),
             });
         }
-        let mut next = run_program(&self.backend, &compiled.program, args)
+        let next = run_program(&self.backend, &compiled.program, args)
             .expect("compiled programs bind all parameters");
-        if let Some(con) = &self.constraints {
-            let _sp = pwdb_trace::span!("hlu.constraints", timer = "hlu.constraints.wall");
-            next = self.backend.op_assert(&next, con);
+        match &self.constraints {
+            Some(con) => {
+                let _sp = pwdb_trace::span!("hlu.constraints", timer = "hlu.constraints.wall");
+                self.backend.op_assert(&next, con)
+            }
+            None => next,
         }
+    }
+
+    /// Makes `next`, computed by [`Database::next_state`] from the current
+    /// state, the current state, and records `prog` as its cause.
+    pub(crate) fn install(&mut self, prog: &HluProgram, next: B::State) {
         self.state = next;
         self.updates_run += 1;
         self.history.push(prog.clone());
@@ -320,24 +334,6 @@ impl<B: HluBackend> Database<B> {
         self.backend.world_count(&self.state, n_atoms)
     }
 
-    /// A savepoint capturing the current state (states are values; this
-    /// is a cheap clone of the representation).
-    pub fn savepoint(&self) -> Savepoint<B::State> {
-        Savepoint {
-            state: self.state.clone(),
-            updates_run: self.updates_run,
-            history_len: self.history.len(),
-        }
-    }
-
-    /// Restores a previously taken savepoint. Statements run since the
-    /// savepoint are dropped from the history.
-    pub fn rollback_to(&mut self, savepoint: Savepoint<B::State>) {
-        self.state = savepoint.state;
-        self.updates_run = savepoint.updates_run;
-        self.history.truncate(savepoint.history_len);
-    }
-
     /// Checked [`Database::world_count`]: `u128`, and a typed
     /// [`LogicError::TooManyAtoms`] past the 64-atom packed-assignment
     /// limit instead of a panic.
@@ -345,18 +341,17 @@ impl<B: HluBackend> Database<B> {
         self.backend.try_world_count(&self.state, n_atoms)
     }
 
-    /// Runs one statement under resource `limits`, transactionally.
+    /// Runs one statement under resource `limits`, and installs its result
+    /// only if it is consistent.
     ///
-    /// The statement executes with the execution governor installed: every
-    /// unbounded worklist in the clausal engine (saturation, Tison's
+    /// The next state is computed with the execution governor installed:
+    /// every unbounded worklist in the clausal engine (saturation, Tison's
     /// closure, DPLL, subsumption merges, genmask's truth table) charges
     /// steps against the budget and aborts by unwinding when it is
-    /// exhausted, when the attached [`CancelToken`](pwdb_logic::CancelToken)
-    /// fires, or when the engine panics. On **any** failure — budget,
-    /// cancellation, engine panic, or the §1.3.3 consistency rejection —
-    /// the database rolls back to its pre-statement savepoint
-    /// bit-identically: state, update count, and history are exactly as
-    /// before the call.
+    /// exhausted or when the engine panics. Nothing is assigned until the
+    /// computation has finished and passed the check, so on **any** failure
+    /// — budget, engine panic, or the §1.3.3 consistency rejection — state,
+    /// update count, and history are exactly as before the call.
     ///
     /// Under [`Limits::unlimited()`] this is exactly the rejection
     /// discipline of §1.3.3: "the updated database is computed, and then
@@ -369,51 +364,46 @@ impl<B: HluBackend> Database<B> {
         prog: &HluProgram,
         limits: &Limits,
     ) -> Result<(), GovernedError> {
+        let next = self.checked_next_state(prog, limits)?;
+        self.install(prog, next);
+        Ok(())
+    }
+
+    /// [`Database::next_state`] under `limits`, followed by the §1.3.3
+    /// consistency check: the result [`Database::run_governed`] installs.
+    pub(crate) fn checked_next_state(
+        &self,
+        prog: &HluProgram,
+        limits: &Limits,
+    ) -> Result<B::State, GovernedError> {
         counter!("governor.stmt.total").inc();
         let sp = pwdb_trace::span!("governor.stmt");
-        let saved = self.savepoint();
-        let result = {
-            let this = &mut *self;
-            pwdb_logic::govern(limits, move || {
-                this.run(prog);
-                this.backend.consistent(&this.state)
-            })
-        };
+        let result = pwdb_logic::govern(limits, || {
+            let next = self.next_state(prog);
+            let consistent = self.backend.consistent(&next);
+            (next, consistent)
+        });
         sp.attr("steps", governor::last_spent());
-        match result {
-            Ok(true) => {
+        let (outcome, result) = match result {
+            Ok((next, true)) => {
                 counter!("governor.stmt.committed").inc();
-                sp.attr("outcome", "committed");
-                Ok(())
+                ("committed", Ok(next))
             }
-            Ok(false) => {
-                self.rollback_to(saved);
+            Ok((_, false)) => {
                 counter!("governor.stmt.rejected").inc();
-                sp.attr("outcome", "rejected");
-                Err(GovernedError::Rejected)
+                ("rejected", Err(GovernedError::Rejected))
             }
-            Err(e) => {
-                self.rollback_to(saved);
-                match &e {
-                    ExecError::BudgetExceeded { .. } => {
-                        counter!("governor.stmt.budget_exceeded").inc()
-                    }
-                    ExecError::Cancelled => counter!("governor.stmt.cancelled").inc(),
-                    ExecError::EnginePanic { .. } => counter!("governor.stmt.panicked").inc(),
-                }
-                sp.attr("outcome", governed_outcome(&e));
-                Err(GovernedError::Exec(e))
+            Err(e @ ExecError::BudgetExceeded { .. }) => {
+                counter!("governor.stmt.budget_exceeded").inc();
+                ("budget-exceeded", Err(GovernedError::Exec(e)))
             }
-        }
-    }
-}
-
-/// The static span-attribute label for a governed failure.
-fn governed_outcome(e: &ExecError) -> &'static str {
-    match e {
-        ExecError::BudgetExceeded { .. } => "budget-exceeded",
-        ExecError::Cancelled => "cancelled",
-        ExecError::EnginePanic { .. } => "engine-panic",
+            Err(e @ ExecError::EnginePanic { .. }) => {
+                counter!("governor.stmt.panicked").inc();
+                ("engine-panic", Err(GovernedError::Exec(e)))
+            }
+        };
+        sp.attr("outcome", outcome);
+        result
     }
 }
 
@@ -451,7 +441,7 @@ pub struct Explanation {
     /// The recorded span tree.
     pub trace: pwdb_trace::Trace,
     /// Governed runs record what happened — `"committed"` or the error
-    /// rendering (budget exceeded, cancelled, rejected, engine panic, a
+    /// rendering (budget exceeded, rejected, engine panic, a
     /// failed durable commit); see [`Explanation::with_outcome`]. `None`
     /// for an ungoverned run.
     pub outcome: Option<String>,
@@ -530,11 +520,11 @@ impl std::fmt::Display for Explanation {
 }
 
 /// Why a [`Database::run_governed`] statement did not commit. In every
-/// case the database was rolled back to its pre-statement savepoint.
+/// case nothing was installed: the database is as it was before the call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GovernedError {
-    /// The governor aborted execution: budget exhausted, cancel token
-    /// fired, or the engine panicked (isolated by `catch_unwind`).
+    /// The governor aborted execution: the step budget ran out, or the
+    /// engine panicked (isolated by `catch_unwind`).
     Exec(ExecError),
     /// The §1.3.3 consistency check rejected the result.
     Rejected,
@@ -558,14 +548,6 @@ impl From<ExecError> for GovernedError {
     fn from(e: ExecError) -> Self {
         GovernedError::Exec(e)
     }
-}
-
-/// A captured database state for [`Database::rollback_to`].
-#[derive(Debug, Clone)]
-pub struct Savepoint<S> {
-    state: S,
-    updates_run: usize,
-    history_len: usize,
 }
 
 #[cfg(test)]
@@ -779,10 +761,10 @@ mod tests {
     fn savepoint_rollback() {
         let mut db = ClausalDatabase::new();
         db.insert(wff(2, "A1"));
-        let sp = db.savepoint();
+        let before = db.clone();
         db.insert(wff(2, "!A1"));
         assert!(db.is_certain(&wff(2, "!A1")));
-        db.rollback_to(sp);
+        db = before;
         assert!(db.is_certain(&wff(2, "A1")));
         assert_eq!(db.updates_run(), 1);
     }
@@ -839,12 +821,13 @@ mod tests {
             .unwrap_err();
         assert_eq!(db.history().len(), 1);
 
-        // A caller-side bundle: two statements undone together.
-        let sp = db.savepoint();
+        // A caller-side bundle: two statements undone together by
+        // restoring a clone taken before them.
+        let before = db.clone();
         db.insert(wff(2, "!A1"));
         db.delete(wff(2, "A2"));
         assert_eq!(db.history().len(), 3);
-        db.rollback_to(sp);
+        db = before;
         assert_eq!(db.history().len(), 1);
         assert_eq!(db.history()[0], HluProgram::Insert(wff(2, "A1")));
     }
@@ -888,10 +871,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            GovernedError::Exec(ExecError::BudgetExceeded {
-                resource: pwdb_logic::Resource::Steps,
-                ..
-            })
+            GovernedError::Exec(ExecError::BudgetExceeded { .. })
         ));
         assert_eq!(db.state(), &before_state);
         assert_eq!(db.history(), &before_hist[..]);
@@ -910,19 +890,6 @@ mod tests {
         assert_eq!(err, GovernedError::Rejected);
         assert_eq!(db.state(), &before);
         assert_eq!(db.updates_run(), 1);
-    }
-
-    #[test]
-    fn run_governed_cancelled_token_short_circuits() {
-        let mut db = ClausalDatabase::new();
-        let token = pwdb_logic::CancelToken::new();
-        token.cancel();
-        let limits = Limits::unlimited().with_cancel(token);
-        let err = db
-            .run_governed(&HluProgram::Insert(wff(1, "A1")), &limits)
-            .unwrap_err();
-        assert_eq!(err, GovernedError::Exec(ExecError::Cancelled));
-        assert_eq!(db.updates_run(), 0);
     }
 
     #[test]

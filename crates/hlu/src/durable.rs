@@ -2,18 +2,19 @@
 //!
 //! [`DurableDatabase`] wraps a [`ClausalDatabase`] and a
 //! [`pwdb_store::Store`] so that every committed statement is durable
-//! before the call returns. Every write, governed or not, runs memory
-//! first, so the log only ever sees statements that already applied:
+//! before the call returns. Every write, governed or not, computes the
+//! next state first, logs the statement second and installs the state
+//! last, so memory never runs ahead of the log:
 //!
 //! ```text
-//! run(P):   savepoint
-//!           apply P in memory     (Database::run or ::run_governed; a
-//!                                  failed governed run rolls back and
-//!                                  the WAL never sees P)
+//! run(P):   next := P(state)      (governed: also checked; a failed
+//!                                  run returns here and the WAL never
+//!                                  sees P)
 //!           intern-events → WAL   (new atom names, in id order)
 //!           text(P)       → WAL   (canonical HLU syntax)
-//!           fsync                 ← the commit point
-//!           on a log failure: roll memory back to the savepoint
+//!           fsync                 ← the commit point (a failure returns
+//!                                  here, with memory untouched)
+//!           state := next
 //! ```
 //!
 //! Because HLU statements are morphisms on clausal instances (§1.4), the
@@ -36,7 +37,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use pwdb_logic::{AtomId, AtomTable, ExecError, Limits, LogicError};
+use pwdb_logic::{AtomId, AtomTable, ClauseSet, ExecError, Limits, LogicError};
 use pwdb_metrics::counter;
 use pwdb_store::{Record, RetryPolicy, SnapshotData, Store, StoreError, StoreStats, WriteFaults};
 
@@ -59,9 +60,8 @@ pub enum DurableError {
     /// The update was rejected by the §1.3.3 consistency check and was
     /// not logged.
     Rejected,
-    /// The execution governor aborted the statement (budget exhausted,
-    /// cancelled, or engine panic); nothing was logged and the in-memory
-    /// state was rolled back.
+    /// The execution governor aborted the statement (budget exhausted or
+    /// engine panic); nothing was logged and nothing was installed.
     Exec(ExecError),
     /// The store is in degraded read-only mode after persistent write
     /// failures: queries are still answered, updates are refused.
@@ -302,26 +302,22 @@ impl DurableDatabase {
         self.store.dir()
     }
 
-    /// Runs `prog` as [`ClausalDatabase::run`] does (ungoverned, committed
-    /// even when inconsistent), then logs it. On return the statement is
-    /// durable: recovery after any crash replays it. If logging fails
-    /// (I/O fault, degraded store), memory rolls back and the error
-    /// surfaces — memory never runs ahead of the log.
+    /// Runs `prog` as [`ClausalDatabase::run`] does (ungoverned, installed
+    /// even when inconsistent), logging it before the result is installed.
+    /// On return the statement is durable: recovery after any crash replays
+    /// it. If logging fails (I/O fault, degraded store), the error surfaces
+    /// and memory is untouched — memory never runs ahead of the log.
     pub fn run(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        self.commit(prog, |db| {
-            db.run(prog);
-            Ok(())
-        })
+        self.commit(prog, |db| Ok(db.next_state(prog)))
     }
 
-    /// Runs one statement under resource `limits`, durably and
-    /// transactionally, through [`crate::database::Database::run_governed`]:
-    /// on budget exhaustion, cancellation, engine panic, or the §1.3.3
-    /// rejection the in-memory state rolls back bit-identically and the
-    /// WAL **never sees the failed statement**. Only a committed in-memory
-    /// result is logged, and a failed log rolls memory back too.
+    /// Runs one statement under resource `limits`, durably, with the checks
+    /// of [`crate::database::Database::run_governed`]: on budget
+    /// exhaustion, engine panic, or the §1.3.3 rejection nothing is
+    /// installed and the WAL **never sees the failed statement**. Only a
+    /// result that passed is logged, and only a logged one is installed.
     pub fn run_governed(&mut self, prog: &HluProgram, limits: &Limits) -> Result<(), DurableError> {
-        self.commit(prog, |db| Ok(db.run_governed(prog, limits)?))
+        self.commit(prog, |db| Ok(db.checked_next_state(prog, limits)?))
     }
 
     /// Parses and runs one shell-level statement under `limits`. An
@@ -343,20 +339,17 @@ impl DurableDatabase {
         }
     }
 
-    /// The one durable write path: savepoint, `apply` in memory, then log.
-    /// If `apply` fails it has already restored memory; if logging fails,
-    /// memory rolls back to the savepoint.
+    /// The one durable write path: compute the next state, log `prog`,
+    /// then install the state. A failure at either of the first two steps
+    /// returns before anything is assigned.
     fn commit(
         &mut self,
         prog: &HluProgram,
-        apply: impl FnOnce(&mut ClausalDatabase) -> Result<(), DurableError>,
+        next_state: impl FnOnce(&ClausalDatabase) -> Result<ClauseSet, DurableError>,
     ) -> Result<(), DurableError> {
-        let saved = self.db.savepoint();
-        apply(&mut self.db)?;
-        if let Err(e) = self.log_statement(prog) {
-            self.db.rollback_to(saved);
-            return Err(e);
-        }
+        let next = next_state(&self.db)?;
+        self.log_statement(prog)?;
+        self.db.install(prog, next);
         Ok(())
     }
 
@@ -412,11 +405,12 @@ impl DurableDatabase {
         Ok(())
     }
 
-    /// WAL append + fsync for one statement already applied in memory
-    /// (the last step of [`DurableDatabase::commit`]). On failure the
-    /// store has discarded everything buffered, so the atom watermark is
-    /// rolled back with it: nothing of the failed statement — neither its
-    /// `A` records nor its `S` record — is in the log.
+    /// WAL append + fsync for one statement whose next state is computed
+    /// but not yet installed (the middle step of
+    /// [`DurableDatabase::commit`]). On failure the store has discarded
+    /// everything buffered, so the atom watermark is rolled back with it:
+    /// nothing of the failed statement — neither its `A` records nor its
+    /// `S` record — is in the log.
     fn log_statement(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
         let _sp = pwdb_trace::span!("store.durable.commit");
         let atoms_watermark = self.persisted_atoms;

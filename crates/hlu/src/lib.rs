@@ -34,7 +34,7 @@ pub mod parser;
 pub use ast::HluProgram;
 pub use compile::{compile, ArgValue, Compiled};
 pub use database::{
-    ClausalDatabase, Database, Explanation, GovernedError, HluBackend, InstanceDatabase, Savepoint,
+    ClausalDatabase, Database, Explanation, GovernedError, HluBackend, InstanceDatabase,
 };
 pub use durable::{DurableDatabase, DurableError, RecoveryReport};
 pub use parser::{parse_hlu, parse_hlu_script, parse_hlu_statement, HluStatement};

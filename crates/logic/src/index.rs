@@ -20,7 +20,7 @@
 //! Removal marks a slot dead and leaves the occurrence lists lazily
 //! stale; lists are compacted when dead entries dominate. The engine
 //! entry points (`reduce_subsumed`, `merge_with_subsumption`, `saturate`,
-//! `prime_implicates`) build an index per closure — O(Length[Φ]) — and
+//! `prime_implicates`) build an index per closure — `O(Length[Φ])` — and
 //! amortize it across the whole sweep.
 
 use std::collections::HashMap;
@@ -140,7 +140,6 @@ impl IndexedClauseSet {
         }
         let slot = u32::try_from(self.slots.len()).expect("slot overflow");
         governor::step_n(clause.len() as u64 + 1);
-        governor::on_live_clauses(self.len + 1);
         let sig = signature(&clause);
         for &l in clause.literals() {
             self.occ.entry(l).or_default().push(slot);

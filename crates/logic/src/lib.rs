@@ -64,7 +64,7 @@ pub use counting::{count_models, try_count_models};
 pub use dpll::{entails, entails_clauses, equivalent, is_satisfiable, Solver};
 pub use engine::{engine_mode, set_engine_mode, with_engine, EngineMode};
 pub use error::{LogicError, Result};
-pub use governor::{govern, Budget, CancelToken, ExecError, Limits, Resource};
+pub use governor::{govern, Budget, ExecError, Limits};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};
 pub use index::IndexedClauseSet;
 pub use literal::Literal;

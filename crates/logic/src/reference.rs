@@ -75,7 +75,6 @@ pub fn insert_with_subsumption(set: &mut ClauseSet, clause: Clause) -> bool {
     for c in &doomed {
         set.remove(c);
     }
-    governor::on_live_clauses(set.len() + 1);
     set.insert(clause)
 }
 
@@ -118,7 +117,6 @@ pub fn saturate(set: &ClauseSet) -> ClauseSet {
                         if skip {
                             continue;
                         }
-                        governor::on_live_clauses(current.len() + 1);
                         current.insert(r);
                         added = true;
                     }

@@ -44,7 +44,6 @@ pub fn rclosure_on_atom(set: &ClauseSet, atom: AtomId) -> ClauseSet {
         for n in &neg_side {
             governor::step_n((p.len() + n.len()) as u64 + 1);
             if let Some(r) = resolvent(p, n, atom) {
-                governor::on_live_clauses(out.len() + 1);
                 out.insert(r);
             }
         }
@@ -84,7 +83,7 @@ pub fn drop_atoms(set: &ClauseSet, atoms: &BTreeSet<AtomId>) -> ClauseSet {
 /// The fixpoint is canonical — the subsumption-minimal elements of the
 /// resolution closure — so the naive round-based engine
 /// ([`crate::reference::saturate`]) and the indexed worklist engine
-/// ([`saturate_indexed`]) return bit-identical sets; only the number of
+/// (`saturate_indexed`) return bit-identical sets; only the number of
 /// resolvent pairs tried (`logic.resolution.pairs_tried`) differs.
 pub fn saturate(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.resolution.saturate", "clauses_in" => set.len());

@@ -113,11 +113,6 @@ impl WriteFaults {
             None
         }
     }
-
-    /// Operations seen so far (attempted, failed or not).
-    pub fn ops_seen(&self) -> u64 {
-        self.ops
-    }
 }
 
 /// Truncates `path` to `len` bytes — a crash that lost the tail.

@@ -135,13 +135,6 @@ pub struct Recovery {
     pub snapshots_skipped: u64,
 }
 
-impl Recovery {
-    /// The statements recovery asks the caller to re-apply.
-    pub fn replay(&self) -> &[String] {
-        &self.statements[self.replay_from..]
-    }
-}
-
 /// Point-in-time durability statistics (the shell's `:wal` command).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
@@ -229,11 +222,6 @@ impl Store {
         &self.dir
     }
 
-    /// The log file path.
-    pub fn wal_path(&self) -> &Path {
-        self.wal.path()
-    }
-
     /// Total records in the log (committed prefix + this session).
     pub fn records(&self) -> u64 {
         self.wal.records()
@@ -285,34 +273,18 @@ impl Store {
     /// A failed attempt is retried per the [`RetryPolicy`] (with the WAL
     /// self-healing any torn bytes a short write left). When the budget
     /// is exhausted the store **degrades**: pending records are discarded
-    /// (the caller is rolling the statement back), the on-disk log is
+    /// (the caller abandons the statement), the on-disk log is
     /// restored to exactly the committed prefix, and every future write
     /// returns [`StoreError::ReadOnly`] while reads continue unharmed.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         if self.degraded.is_some() {
             return Err(self.read_only_error());
         }
-        let mut backoff = self.retry.backoff;
-        let mut attempt = 0u32;
-        loop {
-            let fault = self.faults.next_op();
-            match self.wal.sync_injected(fault) {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt < self.retry.attempts => {
-                    attempt += 1;
-                    counter!("store.wal.retries").inc();
-                    let _ = e;
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff = backoff.saturating_mul(2);
-                    }
-                }
-                Err(e) => {
-                    self.enter_degraded(&format!("WAL commit failed after {attempt} retries: {e}"));
-                    return Err(StoreError::Io(e));
-                }
-            }
-        }
+        self.retrying(
+            "WAL commit",
+            counter!("store.wal.retries"),
+            |store, fault| store.wal.sync_injected(fault),
+        )
     }
 
     /// Writes a snapshot of `data` atomically and durably. The log is
@@ -325,29 +297,45 @@ impl Store {
         let _sp = pwdb_trace::span!("store.checkpoint");
         // Anything buffered must be durable before a snapshot may cover it.
         self.commit()?;
+        let (path, bytes) = self.retrying(
+            "checkpoint",
+            counter!("store.snapshot.retries"),
+            |store, fault| match fault {
+                Some(kind) => Err(kind.to_error()),
+                None => snapshot::write_snapshot(&store.dir, data),
+            },
+        )?;
+        self.last_snapshot = Some((data.wal_records, bytes));
+        Ok((path, bytes))
+    }
+
+    /// The write path's retry loop. Runs `op` once per physical attempt,
+    /// handing it the fault the plan injects into that attempt (if any),
+    /// and retries a failure per the [`RetryPolicy`], counting each retry
+    /// on `retries`. When the budget is exhausted the store degrades with
+    /// the reason `"{what} failed after {n} retries: {error}"`.
+    fn retrying<T>(
+        &mut self,
+        what: &str,
+        retries: &pwdb_metrics::Counter,
+        mut op: impl FnMut(&mut Store, Option<WriteFaultKind>) -> std::io::Result<T>,
+    ) -> Result<T, StoreError> {
         let mut backoff = self.retry.backoff;
         let mut attempt = 0u32;
         loop {
-            let result = match self.faults.next_op() {
-                Some(kind) => Err(kind.to_error()),
-                None => snapshot::write_snapshot(&self.dir, data),
-            };
-            match result {
-                Ok((path, bytes)) => {
-                    self.last_snapshot = Some((data.wal_records, bytes));
-                    return Ok((path, bytes));
-                }
-                Err(e) if attempt < self.retry.attempts => {
+            let fault = self.faults.next_op();
+            match op(self, fault) {
+                Ok(value) => return Ok(value),
+                Err(_) if attempt < self.retry.attempts => {
                     attempt += 1;
-                    counter!("store.snapshot.retries").inc();
-                    let _ = e;
+                    retries.inc();
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     }
                 }
                 Err(e) => {
-                    self.enter_degraded(&format!("checkpoint failed after {attempt} retries: {e}"));
+                    self.enter_degraded(&format!("{what} failed after {attempt} retries: {e}"));
                     return Err(StoreError::Io(e));
                 }
             }
@@ -355,8 +343,8 @@ impl Store {
     }
 
     /// Drops buffered, never-committed records and restores the on-disk
-    /// log to exactly the committed prefix — the caller is rolling a
-    /// statement back. Deliberately *not* gated on degraded mode: rollback
+    /// log to exactly the committed prefix — the caller abandons a
+    /// statement. Deliberately *not* gated on degraded mode: discarding
     /// must work precisely when writes no longer do.
     pub fn discard_pending(&mut self) -> Result<(), StoreError> {
         self.wal.discard_pending()?;
@@ -399,7 +387,7 @@ mod tests {
         assert_eq!(store.records(), 0);
         assert_eq!(rec.snapshot, None);
         assert!(rec.atom_names.is_empty() && rec.statements.is_empty());
-        assert_eq!(rec.replay(), &[] as &[String]);
+        assert_eq!(rec.replay_from, 0);
     }
 
     #[test]
@@ -447,7 +435,7 @@ mod tests {
         assert_eq!((snap.wal_records, snap.updates_run), (3, 2));
         assert_eq!(rec.statements.len(), 3); // full history retained
         assert_eq!(rec.replay_from, 2); // but only the suffix replays
-        assert_eq!(rec.replay().len(), 1);
+        assert_eq!(rec.statements.len() - rec.replay_from, 1);
         assert_eq!(rec.snapshots_skipped, 0);
     }
 

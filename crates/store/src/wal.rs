@@ -26,7 +26,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use pwdb_metrics::counter;
 
@@ -128,7 +128,6 @@ pub fn scan(path: &Path) -> std::io::Result<WalScan> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// Encoded records appended since the last successful sync.
     pending: Vec<u8>,
     pending_records: u64,
@@ -161,7 +160,6 @@ impl Wal {
         file.seek(SeekFrom::Start(valid_bytes))?;
         Ok(Wal {
             file,
-            path: path.to_owned(),
             pending: Vec::new(),
             pending_records: 0,
             records,
@@ -169,11 +167,6 @@ impl Wal {
             synced_records: records,
             dirty_tail: false,
         })
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records appended so far (valid prefix + this session's appends).
@@ -189,16 +182,6 @@ impl Wal {
     /// Bytes in the log, counting buffered appends.
     pub fn bytes(&self) -> u64 {
         self.synced_bytes + self.pending.len() as u64
-    }
-
-    /// Bytes known durable on disk.
-    pub fn synced_bytes(&self) -> u64 {
-        self.synced_bytes
-    }
-
-    /// Whether records are buffered but not yet durable.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     /// Buffers one record. Not durable until [`Wal::sync`] returns.

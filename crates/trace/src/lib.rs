@@ -7,7 +7,7 @@
 //! primitive invocations over logic-layer work — and this crate records
 //! that tree as *spans*:
 //!
-//! * [`span`] / [`span!`] open a named span on a **thread-local stack**;
+//! * [`span()`] / [`span!`] open a named span on a **thread-local stack**;
 //!   the returned [`SpanGuard`] closes it on drop, so lexical scope is
 //!   span scope and nesting falls out of the call structure.
 //! * Spans carry **structured attributes** ([`SpanGuard::attr`]) with

@@ -1,4 +1,4 @@
-//! Transactions, integrity constraints, and uncertainty accounting —
+//! Checked updates, integrity constraints, and uncertainty accounting —
 //! the database-engineering surface of the library on a procurement
 //! scenario.
 //!
@@ -6,8 +6,8 @@
 //!
 //! A purchasing system tracks four flags per order: `ordered`, `paid`,
 //! `shipped`, `flagged`. Business rules: shipping requires payment, and
-//! payment requires an order. Updates arrive in transactions that must
-//! keep the state consistent (the §1.3.3 rejection discipline); the
+//! payment requires an order. Each update must keep the state
+//! consistent (the §1.3.3 rejection discipline); the
 //! auditor watches `world_count` — the number of possible worlds — shrink
 //! as evidence accumulates.
 
@@ -28,7 +28,8 @@ fn main() {
     let rules = wff("(shipped -> paid) & (paid -> ordered)", &mut atoms);
     let mut db = InstanceDatabase::with_atoms(n).with_constraints(rules);
     // No resource budget: `run_governed` then only applies the §1.3.3
-    // check, rejecting (and undoing) an update that leaves no world.
+    // check, rejecting (and never installing) an update that leaves no
+    // world.
     let unlimited = Limits::unlimited();
     println!(
         "fresh ledger: {} possible world(s) under the business rules",
@@ -42,15 +43,15 @@ fn main() {
     // Evidence 2, as a bundle: a shipment notice arrives, but the
     // operator bundles it with a bogus "not paid" assertion — the bundle
     // would make shipping unpaid, violating the rules. The second
-    // statement is rejected, and the savepoint taken before the bundle
-    // undoes the first one too.
-    let before_bundle = db.savepoint();
+    // statement is rejected, and restoring the clone taken before the
+    // bundle undoes the first one too.
+    let before_bundle = db.clone();
     let committed = db
         .run_governed(&HluProgram::Insert(wff("shipped", &mut atoms)), &unlimited)
         .and_then(|()| db.run_governed(&HluProgram::Assert(wff("!paid", &mut atoms)), &unlimited))
         .is_ok();
     if !committed {
-        db.rollback_to(before_bundle);
+        db = before_bundle;
     }
     println!(
         "bundled (shipped, !paid):   committed = {committed}, {} worlds (rolled back)",

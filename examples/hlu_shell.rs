@@ -25,10 +25,9 @@
 //!                       fsync'd before the shell replies)
 //! :checkpoint           write a snapshot of the durable database
 //! :wal                   log / snapshot statistics of the open store
-//! :budget <steps> [live <clauses>] [wall <ms>]
-//!                       govern every following statement: on budget
+//! :budget <steps>       govern every following statement: on budget
 //!                       exhaustion it aborts with a typed error and the
-//!                       state rolls back to before the statement
+//!                       state stays as it was before the statement
 //! :budget off           run ungoverned again (:budget alone shows status)
 //! :governor             governor status: active budget, cumulative
 //!                       governor counters, store degradation
@@ -146,8 +145,8 @@ impl Backend {
     }
 
     /// Runs one parsed statement. With `limits` set (`:budget`), it runs
-    /// governed: on budget exhaustion, cancellation, or rejection it rolls
-    /// back and the error is reported alongside any explanation.
+    /// governed: on budget exhaustion or rejection nothing is installed and
+    /// the error is reported alongside any explanation.
     fn run_statement(
         &mut self,
         stmt: HluStatement,
@@ -206,36 +205,15 @@ impl Shell {
     }
 }
 
-/// Parses `:budget` arguments: `<steps> [live <clauses>] [wall <ms>]`.
+/// Parses `:budget` arguments: `<steps>`.
 fn parse_budget(rest: &str) -> Result<(Limits, String), String> {
-    const USAGE: &str = "usage: :budget <steps> [live <clauses>] [wall <ms>] | off";
-    let mut toks = rest.split_whitespace();
-    let steps: u64 = toks
-        .next()
-        .ok_or(USAGE)?
+    let steps: u64 = rest
         .parse()
-        .map_err(|_| USAGE.to_owned())?;
-    let mut budget = Budget::steps(steps);
-    let mut desc = format!("{steps} step(s)");
-    while let Some(tok) = toks.next() {
-        let value: u64 = toks
-            .next()
-            .ok_or(USAGE)?
-            .parse()
-            .map_err(|_| USAGE.to_owned())?;
-        match tok {
-            "live" => {
-                budget = budget.with_live_clauses(value);
-                desc.push_str(&format!(", {value} live clause(s)"));
-            }
-            "wall" => {
-                budget = budget.with_wall(std::time::Duration::from_millis(value));
-                desc.push_str(&format!(", {value} ms wall clock"));
-            }
-            other => return Err(format!("unknown budget dimension '{other}'; {USAGE}")),
-        }
-    }
-    Ok((Limits::budget(budget), desc))
+        .map_err(|_| "usage: :budget <steps> | off".to_owned())?;
+    Ok((
+        Limits::budget(Budget::steps(steps)),
+        format!("{steps} step(s)"),
+    ))
 }
 
 fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply, String> {
@@ -351,7 +329,7 @@ fn execute(line: &str, backend: &mut Backend, shell: &mut Shell) -> Result<Reply
             }));
         }
         let (limits, desc) = parse_budget(rest)?;
-        let text = format!("budget set: {desc} — over-budget statements roll back");
+        let text = format!("budget set: {desc} — over-budget statements change nothing");
         shell.limits = Some((limits, desc));
         return Ok(Reply::Text(text));
     }

@@ -4,11 +4,12 @@
 //! trustworthy where nothing else runs concurrently. This binary
 //! therefore holds a single test, run in sequence: one timer event per
 //! span of each timed operation, one governor outcome counter per
-//! governed statement, one fsync per durable commit, one snapshot write
-//! per checkpoint, a replay count equal to the log suffix recovery
-//! re-applied, and one degraded-mode entry per outage.
+//! governed statement (an isolated engine panic included), one fsync per
+//! durable commit, one snapshot write per checkpoint, a replay count
+//! equal to the log suffix recovery re-applied, and one degraded-mode
+//! entry per outage.
 
-use pwdb::hlu::{ClausalDatabase, GovernedError};
+use pwdb::hlu::{ClausalDatabase, GovernedError, HluProgram, InstanceDatabase};
 use pwdb::logic::{Budget, ExecError, Limits, Rng, Wff};
 use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
 use pwdb_suite::testgen;
@@ -111,6 +112,26 @@ fn counters_match_the_work_done() {
         d.counter("governor.stmt.budget_exceeded"),
         corpus.len() as u64
     );
+
+    // An engine panic is isolated at the statement: nothing is installed,
+    // and the statement lands in `governor.stmt.panicked`. The instance
+    // backend refuses a parameter beyond its universe with an assertion.
+    let mut small = InstanceDatabase::with_atoms(2);
+    small.insert(Wff::atom(0));
+    let (state, history) = (small.state().clone(), small.history().to_vec());
+    let (panicked, result) = delta("governor.stmt.panicked", || {
+        small.run_governed(&HluProgram::Insert(Wff::atom(4)), &Limits::unlimited())
+    });
+    assert_eq!(
+        result,
+        Err(GovernedError::Exec(ExecError::EnginePanic {
+            message: "assertion failed: wff.atom_bound() <= n_atoms".into()
+        }))
+    );
+    assert_eq!(panicked, 1);
+    assert_eq!(small.state(), &state);
+    assert_eq!(small.updates_run(), 1);
+    assert_eq!(small.history(), &history[..]);
 
     // One fsync per durable commit.
     let dir = TestDir::new("metrics-fsync");
