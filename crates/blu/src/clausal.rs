@@ -37,6 +37,7 @@
 //! | `mask`      | O(L^{2^|P|})                                   |
 //! | `genmask`   | Θ(2^{|Prop|} · L · |Prop|²); NP-complete core |
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -159,14 +160,19 @@ impl BluClausal {
     /// Output length is Θ(ε^L) in the worst case (ε = e^{1/e}, attained
     /// by length-3 clauses).
     ///
-    /// Tautological products are dropped (model-preserving).
+    /// Tautological products are dropped (model-preserving). A governed
+    /// run first reserves [`Self::complement_floor`], so a product the
+    /// budget cannot afford is refused before it is formed.
     pub fn complement_clauses(phi: &ClauseSet) -> ClauseSet {
+        governor::reserve(|| Self::complement_floor(phi));
+        let products = counter!("blu.complement.products");
         let mut delta = ClauseSet::new();
         delta.insert_raw(Clause::empty());
         for gamma in phi.iter() {
             let mut next = ClauseSet::new();
             for d in delta.iter() {
                 governor::step_n((d.len() * gamma.len().max(1)) as u64 + 1);
+                products.add(gamma.len() as u64);
                 for &lambda in gamma.literals() {
                     next.insert(d.disjoin(&Clause::unit(lambda.negated())));
                 }
@@ -174,6 +180,73 @@ impl BluClausal {
             delta = next;
         }
         delta
+    }
+
+    /// A lower bound on the steps [`Self::complement_clauses`] charges for
+    /// `Φ`: the witness of Theorem 2.3.4(b)'s exponential term.
+    ///
+    /// It fixes a greedy assignment `M`: each atom takes the polarity whose
+    /// literal occurs in exactly one clause (if both do, the one in the
+    /// shorter clause), otherwise the polarity with more occurrences. If
+    /// `M` falsifies `Φ` — as it must when `Φ` is unsatisfiable or holds
+    /// `□` — the floor is 0. Otherwise let `uᵢ` be the number, at least 1,
+    /// of literals of the `i`-th clause `γᵢ` that are true in `M` and occur
+    /// in no other clause, and `Pᵢ = u₁⋯uᵢ`. Choosing one such literal
+    /// `λⱼ` per clause (a fixed true literal where there is none) gives the
+    /// product `¬λ₁ ∨ … ∨ ¬λᵢ`. It is false in `M`, so not a tautology, and
+    /// distinct choices give distinct products, because the negation of a
+    /// literal that occurs in one clause only enters from that clause. So
+    /// the loop's `Δ` holds at least `Pᵢ` clauses after `γᵢ`. It charges 1
+    /// for the first clause and at least `|Δ|·(|γᵢ| + 1)` for each later
+    /// one, which gives the floor `1 + Σ_{i≥2} Pᵢ₋₁·(|γᵢ| + 1)`
+    /// (saturating).
+    pub fn complement_floor(phi: &ClauseSet) -> u64 {
+        // Every literal occurrence with its clause's length, sorted: each
+        // literal's run starts at its shortest clause, and the two
+        // literals of an atom are adjacent.
+        let mut occurrences: Vec<(Literal, usize)> = phi
+            .iter()
+            .flat_map(|c| c.literals().iter().map(move |&l| (l, c.len())))
+            .collect();
+        occurrences.sort_unstable();
+        // M's true literals, sorted, each with whether it is unique. Per
+        // atom, each literal's run is (literal, occurrences, shortest
+        // clause holding it).
+        let model: Vec<(Literal, bool)> = occurrences
+            .chunk_by(|x, y| x.0.atom() == y.0.atom())
+            .filter_map(|atom| {
+                atom.chunk_by(|x, y| x.0 == y.0)
+                    .map(|run| (run[0].0, run.len(), run[0].1))
+                    .max_by_key(|&(_, n, shortest)| {
+                        let unique = n == 1;
+                        (unique, Reverse(if unique { shortest } else { 0 }), n)
+                    })
+            })
+            .map(|(l, n, _)| (l, n == 1))
+            .collect();
+        let mut floor = 0u64;
+        let mut product = 1u64; // Pᵢ₋₁
+        for (i, gamma) in phi.iter().enumerate() {
+            let mut satisfied = false;
+            let mut unique = 0u64;
+            for l in gamma.literals() {
+                if let Ok(k) = model.binary_search_by_key(l, |&(m, _)| m) {
+                    satisfied = true;
+                    unique += u64::from(model[k].1);
+                }
+            }
+            if !satisfied {
+                return 0;
+            }
+            let charge = if i == 0 {
+                1
+            } else {
+                product.saturating_mul(gamma.len() as u64 + 1)
+            };
+            floor = floor.saturating_add(charge);
+            product = product.saturating_mul(unique.max(1));
+        }
+        floor
     }
 
     // ------------------------------------------------------------------
@@ -492,6 +565,33 @@ mod tests {
         // A1 ∨ ¬A1 is tautologous ⇒ empty set (all worlds) — and indeed
         // Mod[{A1}] ∪ Mod[{¬A1}] is everything.
         assert!(BluClausal::combine_clauses(&a, &b).is_empty());
+    }
+
+    #[test]
+    fn complement_floor_is_tight_on_disjoint_clauses_and_zero_on_contradictions() {
+        use pwdb_logic::{govern, Limits};
+        let mut t = t8();
+        let spent = |phi: &ClauseSet| {
+            govern(&Limits::unlimited(), || BluClausal::complement_clauses(phi)).unwrap();
+            governor::last_spent()
+        };
+        // Every literal is true and unique: 1 + 2·(3 + 1).
+        let phi = parse_clause_set("{A1 | A2, A3 | A4 | A5}", &mut t).unwrap();
+        assert_eq!(BluClausal::complement_floor(&phi), 9);
+        assert_eq!(spent(&phi), 9);
+        // No M satisfies A1 and ¬A1, so the floor is 0. It must be: every
+        // product holds A1 ∨ ¬A1, so Δ empties after two clauses and the
+        // loop charges 1 + 2, not the 2³ a product of |γ| over the
+        // clauses with disjoint atoms would claim.
+        let phi = parse_clause_set("{A1, !A1, A2 | A3, A4 | A5, A6 | A7}", &mut t).unwrap();
+        assert_eq!(BluClausal::complement_floor(&phi), 0);
+        assert_eq!(spent(&phi), 3);
+        for phi in [ClauseSet::new(), ClauseSet::contradiction()] {
+            assert_eq!(BluClausal::complement_floor(&phi), 0);
+        }
+        // The adversarial family: ≈ 3·2²⁴ steps before the product ends.
+        let family = pwdb_logic::stress::exponential_pi_set(24);
+        assert!(BluClausal::complement_floor(&family) > 50_000_000);
     }
 
     #[test]

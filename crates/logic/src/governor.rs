@@ -22,6 +22,16 @@
 //! naive and the indexed engine charge through the same entry points, so
 //! a budget bounds either engine identically.
 //!
+//! A **reservation** ([`reserve`]) is admission control without a charge:
+//! before a loop whose cost is provably bounded below up front, it asks
+//! whether the budget can afford that many more steps. If it cannot, the
+//! section aborts at once, before any of the work is done, reporting
+//! `limit + 1` steps spent; if it can, nothing is charged, and the loop
+//! charges its steps as it runs them. So a reservation changes when an
+//! over-budget section stops, never the outcome or the step count of one
+//! that fits. `complement` reserves a lower bound on its Θ(ε^L) product
+//! (Theorem 2.3.4(b)).
+//!
 //! # Mechanism
 //!
 //! [`govern`] installs the budget in thread-local storage, runs the
@@ -51,7 +61,8 @@ use pwdb_metrics::counter;
 pub enum ExecError {
     /// The [`Budget`]'s step limit was exhausted.
     BudgetExceeded {
-        /// Steps spent when the check fired.
+        /// Steps spent when the check fired; `limit + 1` when a
+        /// reservation was refused.
         spent: u64,
         /// The configured step limit.
         limit: u64,
@@ -170,6 +181,27 @@ pub fn step_n(n: u64) {
     }
 }
 
+/// Aborts the governed section, as an exhausted budget does, if it cannot
+/// afford `n()` more steps; charges nothing otherwise. `n` is called only
+/// inside a governed section with a step limit, so an ungoverned or
+/// unlimited caller never computes it. A refusal leaves the meter at
+/// `limit + 1`, so the reported overshoot stays one step however large
+/// `n()` is. See the module's cost model.
+#[inline]
+pub fn reserve(n: impl FnOnce() -> u64) {
+    if DEPTH.with(Cell::get) > 0 {
+        let meter = METER.with(Cell::get);
+        if meter.limit < u64::MAX && meter.spent.saturating_add(n()) > meter.limit {
+            let refused = Meter {
+                spent: meter.limit.saturating_add(1),
+                ..meter
+            };
+            METER.with(|m| m.set(refused));
+            exhausted(refused);
+        }
+    }
+}
+
 /// Steps spent by the most recently completed [`govern`] section on this
 /// thread, whether it committed or aborted — the diagnostic surface
 /// behind span/EXPLAIN `steps` annotations.
@@ -277,6 +309,36 @@ mod tests {
                 limit: 10
             }
         );
+    }
+
+    #[test]
+    fn reservations_refuse_up_front_and_charge_nothing() {
+        let limits = Limits::budget(Budget::steps(10));
+        let out = govern(&limits, || {
+            step_n(4);
+            reserve(|| 6);
+            step_n(6);
+        });
+        assert_eq!(out, Ok(()));
+        assert_eq!(last_spent(), 10);
+        let err = govern(&limits, || {
+            step_n(4);
+            reserve(|| 7);
+            "not reached: a refused reservation aborts"
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::BudgetExceeded {
+                spent: 11,
+                limit: 10
+            }
+        );
+        assert_eq!(last_spent(), 11);
+        // Unlimited and ungoverned sections never compute the amount.
+        let unreached = || -> u64 { unreachable!("computed without a step limit") };
+        assert_eq!(govern(&Limits::unlimited(), || reserve(unreached)), Ok(()));
+        reserve(unreached);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! trustworthy where nothing else runs concurrently. This binary
 //! therefore holds a single test, run in sequence: one timer event per
 //! span of each timed operation, one governor outcome counter per
-//! governed statement (an isolated engine panic included), one fsync per
+//! governed statement (an isolated engine panic included), one
+//! `complement` product per disjunction formed, one fsync per
 //! durable commit, one snapshot write per checkpoint, a replay count
 //! equal to the log suffix recovery re-applied, and one degraded-mode
 //! entry per outage.
 
+use pwdb::blu::BluClausal;
 use pwdb::hlu::{ClausalDatabase, GovernedError, HluProgram, InstanceDatabase};
-use pwdb::logic::{Budget, ExecError, Limits, Rng, Wff};
+use pwdb::logic::{parse_clause_set, AtomTable, Budget, ExecError, Limits, Rng, Wff};
 use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
 use pwdb_suite::testgen;
 
@@ -112,6 +114,28 @@ fn counters_match_the_work_done() {
         d.counter("governor.stmt.budget_exceeded"),
         corpus.len() as u64
     );
+
+    // `complement` counts each product it forms: 2 for the first clause,
+    // 2·3 for the second. An adversarial statement whose floor exceeds
+    // its budget is refused, one step over, before it forms any.
+    let mut atoms = AtomTable::with_indexed_atoms(8);
+    let phi = parse_clause_set("{A1 | A2, A3 | A4 | A5}", &mut atoms).unwrap();
+    let (products, _) = delta("blu.complement.products", || {
+        BluClausal::complement_clauses(&phi)
+    });
+    assert_eq!(products, 2 + 6);
+    let adversarial = &testgen::exponential_update_corpus(24, 1)[0];
+    let (products, result) = delta("blu.complement.products", || {
+        ClausalDatabase::new().run_governed(adversarial, &tight)
+    });
+    assert_eq!(
+        result,
+        Err(GovernedError::Exec(ExecError::BudgetExceeded {
+            spent: 100_001,
+            limit: 100_000
+        }))
+    );
+    assert_eq!(products, 0);
 
     // An engine panic is isolated at the statement: nothing is installed,
     // and the statement lands in `governor.stmt.panicked`. The instance
