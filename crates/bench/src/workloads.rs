@@ -2,7 +2,8 @@
 //! engines.
 //!
 //! The paper-exact E1–E5 shapes do no subsumption at all, so they
-//! cannot show what the literal-occurrence index buys. These variants run
+//! cannot show what the indexed engine's signature-filtered
+//! subsumption-minimal list and Tison closures buy. These variants run
 //! the same experiments in their *reduced* forms (subsumption sweeps
 //! after each primitive — the §4 "correctness-preserving optimizations"),
 //! plus a resolution-saturation section and a normalizing HLU script.
@@ -85,8 +86,8 @@ pub fn e5_genmask_memo() {
 }
 
 /// Resolution saturation up to subsumption: where the naive engine
-/// re-tries every pair per round (`logic.resolution.pairs_tried`) and the
-/// semi-naive worklist does not.
+/// re-tries every pair per round (`logic.resolution.pairs_tried`) and
+/// Tison's method tries each pair on each atom once.
 pub fn saturation() {
     for seed in 0..4u64 {
         let mut r = rng(7400 + seed);

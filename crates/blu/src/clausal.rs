@@ -19,12 +19,13 @@
 //!   subsumed by `c`. `modify` and `where` build both inputs from the
 //!   same state, so `C` is most of it and the product shrinks to the
 //!   residues.
-//! * **One index across `mask` letters** (Theorem 2.3.6(b)). The state
-//!   is indexed once, subsumption-reduced; each letter then removes the
-//!   clauses mentioning it from the occurrence lists and inserts their
-//!   pairwise resolvents with subsumption. That is
-//!   `reduce(drop({A}, rclosure(Φ, {A})))` per letter without re-cloning
-//!   and re-indexing the whole state for each one.
+//! * **One subsumption-minimal list across `mask` letters** (Theorem
+//!   2.3.6(b)). The state is reduced once into a
+//!   [`pwdb_logic::subsumption::MinimalSet`]; each letter then takes out
+//!   the clauses mentioning it and inserts their pairwise resolvents with
+//!   subsumption. That is `reduce(drop({A}, rclosure(Φ, {A})))` per
+//!   letter without re-cloning and re-reducing the whole state for each
+//!   one.
 //!
 //! Complexity (Theorems 2.3.4(b), 2.3.6(b), 2.3.9(b)) — reproduced by the
 //! `pwdb-bench` experiments E1–E5:
@@ -44,7 +45,8 @@ use std::sync::OnceLock;
 use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
 use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom, resolvent};
-use pwdb_logic::{engine_mode, AtomId, Clause, ClauseSet, EngineMode, IndexedClauseSet, Literal};
+use pwdb_logic::subsumption::MinimalSet;
+use pwdb_logic::{engine_mode, AtomId, Clause, ClauseSet, EngineMode, Literal};
 use pwdb_metrics::counter;
 use pwdb_trace::span;
 
@@ -281,41 +283,29 @@ impl BluClausal {
         out
     }
 
-    /// The reduced `mask` on one literal-occurrence index (module docs):
-    /// per letter `A`, the clauses holding `A` or `¬A` leave the index and
-    /// their resolvents on `A` enter it with subsumption. Tautologies
-    /// never enter the index: `drop` filters them out of every step's
-    /// output, and their resolvents are tautologies or mention `A` again.
-    /// So no resolvent of the remaining clauses mentions `A`.
+    /// The reduced `mask` on one [`MinimalSet`] (module docs): per letter
+    /// `A`, the clauses holding `A` or `¬A` leave the set and their
+    /// resolvents on `A` enter it with subsumption. Tautologies never
+    /// enter the set: `drop` filters them out of every step's output, and
+    /// their resolvents are tautologies or mention `A` again. So no
+    /// resolvent of the remaining clauses mentions `A`.
     fn mask_indexed(phi: &ClauseSet, mask: &BTreeSet<AtomId>) -> ClauseSet {
-        let mut order: Vec<&Clause> = phi.iter().collect();
-        order.sort_by_key(|c| c.len());
-        let mut idx = IndexedClauseSet::new();
-        for c in order {
-            idx.insert_with_subsumption(c.clone());
-        }
+        let mut set = MinimalSet::from_clauses(phi.iter().filter(|c| !c.is_tautology()).cloned());
         for &a in mask {
             counter!("blu.mask.steps").inc();
-            let sp = span!("blu.clausal.mask.step", "clauses_in" => idx.len());
-            let mut take = |lit: Literal| -> Vec<Clause> {
-                idx.partners(lit)
-                    .into_iter()
-                    .filter_map(|s| idx.remove(s))
-                    .collect()
-            };
-            let pos = take(Literal::pos(a));
-            let neg = take(Literal::neg(a));
+            let sp = span!("blu.clausal.mask.step", "clauses_in" => set.len());
+            let (pos, neg) = set.take_atom(a);
             for p in &pos {
                 for n in &neg {
                     governor::step_n((p.len() + n.len()) as u64 + 1);
                     if let Some(r) = resolvent(p, n, a) {
-                        idx.insert_with_subsumption(r);
+                        set.insert(r);
                     }
                 }
             }
-            sp.attr("clauses_out", idx.len());
+            sp.attr("clauses_out", set.len());
         }
-        idx.to_set()
+        set.into_set()
     }
 
     // ------------------------------------------------------------------

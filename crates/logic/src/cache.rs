@@ -13,7 +13,7 @@
 //! updates with caching on answer exactly like a fresh engine.
 //!
 //! Under [`EngineMode::Naive`] every cache is bypassed, so the naive
-//! engine reproduces pre-index behavior bit for bit — which is what lets
+//! engine reproduces the uncached behavior bit for bit — which is what lets
 //! the differential harness compare engines rather than cache hits.
 //!
 //! Hit/miss/eviction counts are kept per cache (visible through

@@ -11,6 +11,7 @@ use std::fmt;
 use crate::atom::{AtomId, AtomTable};
 use crate::clause::Clause;
 use crate::literal::Literal;
+use crate::subsumption::MinimalSet;
 use crate::truth::Assignment;
 
 /// A set of clauses, interpreted as their conjunction.
@@ -148,23 +149,15 @@ impl ClauseSet {
     /// subsumption-minimal members (distinct equal-length clauses never
     /// subsume each other, so "subsumed by another member" is a strict
     /// order on lengths). The naive engine scans all pairs; the indexed
-    /// engine re-inserts ascending by length through the occurrence
-    /// index, where only forward checks can fire.
+    /// engine builds a [`MinimalSet`], which visits the members
+    /// shortest first, so only forward checks can fire.
     pub fn reduce_subsumed(&mut self) -> usize {
         let sp = pwdb_trace::span!("logic.subsumption.sweep", "clauses_in" => self.clauses.len());
         let dropped = match crate::engine::engine_mode() {
             crate::engine::EngineMode::Naive => crate::reference::reduce_subsumed(self),
             crate::engine::EngineMode::Indexed => {
                 let before = self.clauses.len();
-                let mut order: Vec<Clause> = self.clauses.iter().cloned().collect();
-                order.sort_by_key(Clause::len);
-                let mut idx = crate::index::IndexedClauseSet::new();
-                for c in order {
-                    // Raw variant: an existing tautology is a member like
-                    // any other here (removable, but not auto-dropped).
-                    idx.insert_with_subsumption_raw(c);
-                }
-                *self = idx.to_set();
+                *self = MinimalSet::from_clauses(std::mem::take(self)).into_set();
                 before - self.clauses.len()
             }
         };

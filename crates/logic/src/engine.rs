@@ -7,11 +7,12 @@
 //!
 //! * [`EngineMode::Naive`] — the paper-direct O(n²) pairwise algorithms,
 //!   preserved verbatim in [`crate::reference`]; the genmask memo is
-//!   bypassed, so this mode reproduces the pre-index behavior exactly.
-//! * [`EngineMode::Indexed`] — the default: literal-occurrence lists plus
-//!   per-clause signature words ([`crate::index`]), semi-naive delta
-//!   evaluation of resolution closures, and a genmask memo keyed on whole
-//!   inputs ([`crate::cache`]).
+//!   bypassed, so this mode reproduces the algorithms as written exactly.
+//! * [`EngineMode::Indexed`] — the default: sweeps over a flat
+//!   subsumption-minimal list whose probes a per-clause signature word
+//!   filters ([`crate::subsumption::MinimalSet`]), Tison's method for
+//!   both resolution closures, and a genmask memo keyed on whole inputs
+//!   ([`crate::cache`]).
 //!
 //! The mode is a process-wide atomic so a whole stack (BLU, HLU, wilkins,
 //! benches) can be flipped without threading a parameter through every
@@ -27,7 +28,9 @@ pub enum EngineMode {
     /// The paper-direct pairwise algorithms ([`crate::reference`]), with
     /// the genmask memo bypassed.
     Naive,
-    /// The literal-indexed engine with memoization.
+    /// Signature-filtered subsumption-minimal sweeps, Tison's method and
+    /// memoization. The name stays because the report keys in
+    /// `BENCH_index.json` use it.
     #[default]
     Indexed,
 }

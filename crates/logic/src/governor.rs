@@ -20,7 +20,11 @@
 //! charges its full `2^k · |Φ|` table up front (admission control: if the
 //! budget cannot afford the table, it fails before building it). Both the
 //! naive and the indexed engine charge through the same entry points, so
-//! a budget bounds either engine identically.
+//! a budget bounds either engine identically. A flat scan of the indexed
+//! engine's subsumption-minimal list over `n` members charges `⌈n/64⌉`,
+//! plus `len + 1` for each member it passes to `subsumes` and for each
+//! member it adds, so a scan is never free and never dearer than the
+//! naive engine's member-by-member probe.
 //!
 //! A **reservation** ([`reserve`]) is admission control without a charge:
 //! before a loop whose cost is provably bounded below up front, it asks
@@ -164,13 +168,6 @@ fn install_quiet_hook() {
     });
 }
 
-/// Charges one step against the installed budget (no-op when
-/// ungoverned).
-#[inline]
-pub fn step() {
-    step_n(1);
-}
-
 /// Charges `n` steps against the installed budget (no-op when
 /// ungoverned). Aborts the governed section via unwinding when the step
 /// budget is exhausted.
@@ -298,7 +295,7 @@ mod tests {
         let limits = Limits::budget(Budget::steps(10));
         let err = govern(&limits, || {
             for _ in 0..100 {
-                step();
+                step_n(1);
             }
         })
         .unwrap_err();

@@ -8,24 +8,22 @@
 //! sets, and the idealized output of the paper's `mask`/`cleanup`
 //! pipelines (a fully "cleaned up" knowledge base in the §3.3.1 sense).
 //!
-//! Tison's method: process the atoms in order; for each atom, close the
-//! current set under resolution on that atom while keeping the set
-//! subsumption-reduced. After one pass every prime implicate is present.
-//! Worst-case exponential, as it must be (even counting prime implicates
-//! is hard); the paper's own `mask` complexity discussion (2.3.6) applies
-//! verbatim.
-
-use std::collections::BTreeSet;
+//! Tison's method: process the atoms in order; for each atom, resolve
+//! every clause holding it against every clause holding its complement,
+//! keeping the set subsumption-reduced. A resolvent on an atom never
+//! mentions that atom again (tautologies are dropped), so one pass per
+//! atom closes it, and after one pass over the atoms every prime
+//! implicate is present. Worst-case exponential, as it must be (even
+//! counting prime implicates is hard); the paper's own `mask` complexity
+//! discussion (2.3.6) applies verbatim.
 
 use pwdb_metrics::counter;
 use pwdb_trace::span;
 
-use crate::atom::AtomId;
 use crate::clause_set::ClauseSet;
 use crate::engine::{engine_mode, EngineMode};
-use crate::index::{IndexedClauseSet, Slot};
-use crate::literal::Literal;
 use crate::resolution::resolvent;
+use crate::subsumption::MinimalSet;
 
 /// Computes the set of prime implicates of `set`.
 ///
@@ -34,76 +32,33 @@ use crate::resolution::resolvent;
 ///
 /// Tison's fixpoint is canonical (the subsumption-minimal one-atom
 /// closures are unique), so the naive engine
-/// ([`crate::reference::prime_implicates`]) and the indexed worklist
+/// ([`crate::reference::prime_implicates`]), which re-tries every pair
+/// until nothing changes, and the single pass over a [`MinimalSet`]
 /// below return bit-identical sets.
 pub fn prime_implicates(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.implicates.prime", "clauses_in" => set.len());
     let out = match engine_mode() {
         EngineMode::Naive => crate::reference::prime_implicates(set),
-        EngineMode::Indexed => prime_implicates_indexed(set),
+        EngineMode::Indexed => {
+            let mut pi =
+                MinimalSet::from_clauses(set.iter().filter(|c| !c.is_tautology()).cloned());
+            for atom in set.props() {
+                let (pos, neg) = pi.mentioning(atom);
+                for p in &pos {
+                    for n in &neg {
+                        counter!("logic.resolution.pairs_tried").inc();
+                        crate::governor::step_n((p.len() + n.len()) as u64 + 1);
+                        if let Some(r) = resolvent(p, n, atom) {
+                            pi.insert(r);
+                        }
+                    }
+                }
+            }
+            pi.into_set()
+        }
     };
     sp.attr("clauses_out", out.len());
     out
-}
-
-/// Tison's method on the literal-occurrence index: per atom, a worklist
-/// over the clauses that mention it, resolving each against the
-/// occurrence list of the complementary literal only. Resolvents on an
-/// atom never mention that atom again (tautologies are dropped on
-/// insert), so one pass per atom closes it.
-fn prime_implicates_indexed(set: &ClauseSet) -> ClauseSet {
-    let mut idx = IndexedClauseSet::new();
-    for c in set.iter() {
-        idx.insert_with_subsumption(c.clone());
-    }
-    let atoms: BTreeSet<AtomId> = idx
-        .iter()
-        .flat_map(|c| c.atoms().collect::<Vec<_>>())
-        .collect();
-    for &atom in &atoms {
-        let pos = Literal::pos(atom);
-        let neg = Literal::neg(atom);
-        let mut queue: Vec<Slot> = idx.partners(pos);
-        queue.extend(idx.partners(neg));
-        while let Some(slot) = queue.pop() {
-            let Some(c) = idx.clause(slot).cloned() else {
-                continue;
-            };
-            if c.contains(pos) {
-                for pslot in idx.partners(neg) {
-                    let Some(d) = idx.clause(pslot).cloned() else {
-                        continue;
-                    };
-                    counter!("logic.resolution.pairs_tried").inc();
-                    crate::governor::step_n((c.len() + d.len()) as u64 + 1);
-                    if let Some(r) = resolvent(&c, &d, atom) {
-                        if !r.is_tautology() && idx.insert_with_subsumption(r.clone()) {
-                            if let Some(s) = idx.slot_of(&r) {
-                                queue.push(s);
-                            }
-                        }
-                    }
-                }
-            }
-            if c.contains(neg) {
-                for pslot in idx.partners(pos) {
-                    let Some(d) = idx.clause(pslot).cloned() else {
-                        continue;
-                    };
-                    counter!("logic.resolution.pairs_tried").inc();
-                    crate::governor::step_n((c.len() + d.len()) as u64 + 1);
-                    if let Some(r) = resolvent(&d, &c, atom) {
-                        if !r.is_tautology() && idx.insert_with_subsumption(r.clone()) {
-                            if let Some(s) = idx.slot_of(&r) {
-                                queue.push(s);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    idx.to_set()
 }
 
 /// Whether `clause` is an implicate of `set` (by refutation with the
@@ -132,7 +87,7 @@ pub fn is_prime_implicate(set: &ClauseSet, clause: &crate::clause::Clause) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::AtomTable;
+    use crate::atom::{AtomId, AtomTable};
     use crate::clause::Clause;
     use crate::literal::Literal;
     use crate::parser::parse_clause_set;

@@ -43,7 +43,6 @@ pub mod engine;
 pub mod error;
 pub mod governor;
 pub mod implicates;
-pub mod index;
 pub mod literal;
 pub mod parser;
 pub mod reference;
@@ -66,7 +65,6 @@ pub use engine::{engine_mode, set_engine_mode, with_engine, EngineMode};
 pub use error::{LogicError, Result};
 pub use governor::{govern, Budget, ExecError, Limits};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};
-pub use index::IndexedClauseSet;
 pub use literal::Literal;
 pub use parser::{parse_clause, parse_clause_set, parse_wff};
 pub use rng::Rng;

@@ -1,20 +1,19 @@
 //! The naive clausal engine, preserved as the differential oracle.
 //!
-//! These are the paper-direct pairwise algorithms that predate the
-//! literal-occurrence index: every subsumption probe scans the whole set
-//! and every resolution round re-tries every pair. They are kept — not
-//! deleted — because they are the *specification* the indexed engine in
-//! [`crate::index`] is measured against: the differential harness
+//! These are the paper-direct pairwise algorithms: every subsumption
+//! probe scans the whole set and every resolution round re-tries every
+//! pair. They are kept — not deleted — because they are the
+//! *specification* the indexed engine is measured against (the flat
+//! subsumption-minimal list [`crate::subsumption::MinimalSet`] and
+//! Tison's method): the differential harness
 //! (`tests/index_differential.rs`) runs both engines over seeded
 //! programs and requires bit-identical clause sets, and the
 //! `report_index` bench binary runs both over the E1–E5 workloads to
 //! quantify the saved subsumption comparisons and resolvent pairs.
 //!
 //! Dispatch happens in the public entry points
-//! ([`ClauseSet::reduce_subsumed`],
-//! [`crate::subsumption::merge_with_subsumption`],
-//! [`crate::resolution::saturate`], [`crate::prime_implicates`]) on
-//! [`crate::engine::engine_mode`].
+//! ([`ClauseSet::reduce_subsumed`], [`crate::resolution::saturate`],
+//! [`crate::prime_implicates`]) on [`crate::engine::engine_mode`].
 
 use pwdb_metrics::counter;
 
@@ -76,17 +75,6 @@ pub fn insert_with_subsumption(set: &mut ClauseSet, clause: Clause) -> bool {
         set.remove(c);
     }
     set.insert(clause)
-}
-
-/// Naive merge: one naive insert per member of `other`.
-pub fn merge_with_subsumption(set: &mut ClauseSet, other: &ClauseSet) -> usize {
-    let mut added = 0;
-    for c in other.iter() {
-        if insert_with_subsumption(set, c.clone()) {
-            added += 1;
-        }
-    }
-    added
 }
 
 /// Naive saturation under resolution up to subsumption: every round

@@ -16,6 +16,7 @@ use crate::clause::Clause;
 use crate::clause_set::ClauseSet;
 use crate::governor;
 use crate::literal::Literal;
+use crate::subsumption::MinimalSet;
 
 /// The paper's `Resolvent(φ₁, φ₂, A)`: requires `A ∈ φ₁` and `¬A ∈ φ₂`
 /// (in that orientation); returns `None` otherwise.
@@ -81,63 +82,27 @@ pub fn drop_atoms(set: &ClauseSet, atoms: &BTreeSet<AtomId>) -> ClauseSet {
 /// exponential, as the paper's complexity discussion (§2.3.6) warns.
 ///
 /// The fixpoint is canonical — the subsumption-minimal elements of the
-/// resolution closure — so the naive round-based engine
-/// ([`crate::reference::saturate`]) and the indexed worklist engine
-/// (`saturate_indexed`) return bit-identical sets; only the number of
-/// resolvent pairs tried (`logic.resolution.pairs_tried`) differs.
+/// resolution closure. By the subsumption theorem (Lee 1967) every
+/// non-tautological implicate is subsumed by a resolvent, so those are
+/// exactly the prime implicates, plus the input tautologies nothing
+/// subsumes: a resolvent with a tautological parent is a tautology or a
+/// superset of the other parent, so the tautologies add nothing else.
+/// The naive round-based engine ([`crate::reference::saturate`]) and
+/// the indexed engine, which runs Tison's method, return bit-identical
+/// sets; only the number of resolvent pairs tried
+/// (`logic.resolution.pairs_tried`) differs.
 pub fn saturate(set: &ClauseSet) -> ClauseSet {
     let sp = span!("logic.resolution.saturate", "clauses_in" => set.len());
     let out = match crate::engine::engine_mode() {
         crate::engine::EngineMode::Naive => crate::reference::saturate(set),
-        crate::engine::EngineMode::Indexed => saturate_indexed(set),
+        crate::engine::EngineMode::Indexed => {
+            let tautologies = set.iter().filter(|c| c.is_tautology()).cloned();
+            let closure = crate::prime_implicates(set).into_iter().chain(tautologies);
+            MinimalSet::from_clauses(closure).into_set()
+        }
     };
     sp.attr("clauses_out", out.len());
     out
-}
-
-/// Semi-naive saturation on the literal-occurrence index: a given-clause
-/// worklist seeded units-first (ascending clause length). Each clause is
-/// popped once and resolved only against the occurrence lists of its own
-/// literals' complements — no round ever re-tries old × old pairs, which
-/// is where the naive engine burns its `pairs_tried` budget.
-fn saturate_indexed(set: &ClauseSet) -> ClauseSet {
-    let mut idx = crate::index::IndexedClauseSet::new();
-    let mut order: Vec<Clause> = set.iter().cloned().collect();
-    order.sort_by_key(Clause::len);
-    for c in order {
-        // Raw insert: input tautologies stay members unless subsumed,
-        // exactly as the naive engine's initial reduce_subsumed leaves
-        // them.
-        idx.insert_with_subsumption_raw(c);
-    }
-    let mut queue: Vec<crate::index::Slot> = idx.live_slots();
-    while let Some(slot) = queue.pop() {
-        let Some(c) = idx.clause(slot).cloned() else {
-            continue; // subsumed away before its turn
-        };
-        for &lit in c.literals() {
-            for pslot in idx.partners(lit.negated()) {
-                let Some(d) = idx.clause(pslot).cloned() else {
-                    continue;
-                };
-                counter!("logic.resolution.pairs_tried").inc();
-                governor::step_n((c.len() + d.len()) as u64 + 1);
-                let r = if lit.is_positive() {
-                    resolvent(&c, &d, lit.atom())
-                } else {
-                    resolvent(&d, &c, lit.atom())
-                };
-                if let Some(r) = r {
-                    if !r.is_tautology() && idx.insert_with_subsumption(r.clone()) {
-                        if let Some(s) = idx.slot_of(&r) {
-                            queue.push(s);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    idx.to_set()
 }
 
 /// Resolution-refutation consistency check: `Φ` is inconsistent iff the

@@ -9,13 +9,13 @@
 //! computation — both a cache-cleared indexed run and the
 //! cache-bypassing naive engine.
 //!
-//! The file also pins the `insert_with_subsumption` /
-//! `merge_with_subsumption` return-count contract on duplicate and
-//! mutually-subsuming inputs (the latent asymmetry where a clause equal
-//! to an existing member was reported "added"), for both engines.
+//! The file also pins the `insert_with_subsumption` return-count
+//! contract on duplicate and mutually-subsuming inputs (the latent
+//! asymmetry where a clause equal to an existing member was reported
+//! "added"), for both engines.
 
 use pwdb::blu::{BluClausal, BluSemantics, GenmaskStrategy};
-use pwdb::logic::subsumption::{insert_with_subsumption, merge_with_subsumption};
+use pwdb::logic::subsumption::insert_with_subsumption;
 use pwdb::logic::{cache, with_engine, AtomId, Clause, ClauseSet, EngineMode, Literal, Rng};
 use pwdb_suite::testgen;
 
@@ -155,32 +155,6 @@ fn insert_subsumption_counts_are_pinned() {
             let mut s = base.clone();
             let added = insert_with_subsumption(&mut s, clause(&[(0, true)]));
             assert!(added, "{mode:?}: subsuming insert must report added");
-            assert_eq!(s, set(&[&[(0, true)], &[(2, false)]]));
-        });
-    }
-}
-
-/// Pins the merge counts on duplicate and mutually-subsuming inputs.
-#[test]
-fn merge_counts_are_pinned() {
-    let base = set(&[&[(0, true), (1, true)], &[(2, false)]]);
-    for mode in [EngineMode::Naive, EngineMode::Indexed] {
-        with_engine(mode, || {
-            // Merging a set into itself adds nothing.
-            let mut s = base.clone();
-            let added = merge_with_subsumption(&mut s, &base.clone());
-            assert_eq!(added, 0, "{mode:?}: self-merge must add 0");
-            assert_eq!(s, base);
-
-            // Mutually-subsuming inputs: one incoming clause strengthens
-            // a member, the other is absorbed by one.
-            let mut s = base.clone();
-            let other = set(&[&[(0, true)], &[(2, false), (3, false)]]);
-            let added = merge_with_subsumption(&mut s, &other);
-            assert_eq!(
-                added, 1,
-                "{mode:?}: exactly the strengthening clause is added"
-            );
             assert_eq!(s, set(&[&[(0, true)], &[(2, false)]]));
         });
     }

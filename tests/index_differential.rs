@@ -3,21 +3,22 @@
 //!
 //! Every test runs the same seeded computation twice — once under
 //! `EngineMode::Naive` (full-set scans, round-based closures, the genmask
-//! memo bypassed) and once under `EngineMode::Indexed` (literal-occurrence
-//! lists, signature filters, semi-naive worklists, the genmask memo keyed
-//! on whole inputs, the factored `combine` and the one-index `mask`) —
-//! and asserts bit-identical results. Together the suites replay well
-//! over 200 seeded programs: raw engine operations, all five BLU-C
-//! primitives under the reduced algebra, full HLU scripts checked against
-//! the possible-worlds backend, and the emulation squares of Theorems
-//! 2.3.4/2.3.6/2.3.9.
+//! memo bypassed) and once under `EngineMode::Indexed` (signature-filtered
+//! flat scans over a subsumption-minimal list, Tison's method for both
+//! closures, the genmask memo keyed on whole inputs, the factored
+//! `combine` and the one-list `mask`) — and asserts bit-identical
+//! results. Together the suites replay well over 200 seeded programs:
+//! raw engine operations, all five BLU-C primitives under the reduced
+//! algebra, full HLU scripts checked against the possible-worlds backend,
+//! and the emulation squares of Theorems 2.3.4/2.3.6/2.3.9.
 
 use std::collections::BTreeSet;
 
 use pwdb::blu::{check_states, BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, HluProgram, InstanceDatabase};
 use pwdb::logic::resolution::saturate;
-use pwdb::logic::subsumption::{insert_with_subsumption, merge_with_subsumption};
+use pwdb::logic::stress::seeded_exponential_pi_set;
+use pwdb::logic::subsumption::insert_with_subsumption;
 use pwdb::logic::{
     prime_implicates, with_engine, AtomId, Clause, ClauseSet, EngineMode, Literal, Rng,
 };
@@ -37,8 +38,10 @@ fn run_both<T: PartialEq + std::fmt::Debug>(ctx: &str, f: impl Fn() -> T) -> T {
 }
 
 /// Raw engine operations: subsumption reduction (result *and* drop
-/// count), single insert (result and return flag), merge (result and
-/// added count), saturation, and prime implicates.
+/// count), single insert (result and return flag), saturation, and prime
+/// implicates. Besides the testgen sets, the inputs include sets holding
+/// raw tautologies, the seeded exponential prime-implicate family, and
+/// one state of over 300 clauses for the reduce sweep and `mask`.
 #[test]
 fn raw_operations_agree() {
     let mut rng = Rng::new(0xD1F1);
@@ -57,16 +60,59 @@ fn raw_operations_agree() {
             let added = insert_with_subsumption(&mut s, c.clone());
             (s, added)
         });
-        run_both(&format!("merge_with_subsumption #{case}"), || {
-            let mut s = a.clone();
-            let added = merge_with_subsumption(&mut s, &b);
-            (s, added)
-        });
         run_both(&format!("saturate #{case}"), || saturate(&a));
         run_both(&format!("prime_implicates #{case}"), || {
             prime_implicates(&a)
         });
+
+        // testgen collects through `insert`, which drops tautologies; put
+        // `b` and a tautology in raw so the closures and the sweep see
+        // them.
+        let mut raw = a.clone();
+        for clause in b.iter().chain([&c]) {
+            raw.insert_raw(clause.clone());
+        }
+        let atom = AtomId((case % N_ATOMS) as u32);
+        let mut lits = c.literals().to_vec();
+        lits.extend([Literal::pos(atom), Literal::neg(atom)]);
+        raw.insert_raw(Clause::new(lits));
+        let exponential = seeded_exponential_pi_set(case % 7, Some(case as u64));
+        for (name, set) in [("raw", &raw), ("exponential", &exponential)] {
+            run_both(&format!("reduce_subsumed {name} #{case}"), || {
+                let mut s = set.clone();
+                let dropped = s.reduce_subsumed();
+                (s, dropped)
+            });
+            run_both(&format!("saturate {name} #{case}"), || saturate(set));
+            run_both(&format!("prime_implicates {name} #{case}"), || {
+                prime_implicates(set)
+            });
+        }
+        // On a tautology-free input the saturation is exactly Tison's.
+        for set in [&a, &exponential] {
+            let (saturated, prime) =
+                with_engine(EngineMode::Naive, || (saturate(set), prime_implicates(set)));
+            assert_eq!(saturated, prime, "saturate != prime_implicates #{case}");
+        }
     }
+
+    // The testgen sets hold at most 8 clauses; one state of over 300
+    // exercises the reduce sweep and `mask` at size.
+    let mut rng = Rng::new(0xD1F8);
+    let large: ClauseSet = (0..720)
+        .map(|_| testgen::clause(&mut rng, 12, 4))
+        .filter(|c| c.len() > 1)
+        .collect();
+    assert!(large.len() > 300, "large state has {} clauses", large.len());
+    run_both("reduce_subsumed large", || {
+        let mut s = large.clone();
+        let dropped = s.reduce_subsumed();
+        (s, dropped)
+    });
+    let alg = BluClausal::new().with_reduction(true);
+    run_both("mask large", || {
+        alg.op_mask(&large, &BTreeSet::from([AtomId(0), AtomId(5)]))
+    });
 }
 
 /// All five BLU-C primitives under the optimized (reduced) algebra, with
