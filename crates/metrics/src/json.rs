@@ -1,15 +1,11 @@
-//! A minimal hand-written JSON writer and recursive-descent parser —
-//! just enough for [`crate::MetricsSnapshot`] and the bench reports.
-//! Numbers are unsigned 64-bit integers only, which is all the metric
-//! model produces.
-
-use std::fmt;
+//! A minimal hand-written JSON writer — just enough for
+//! [`crate::MetricsSnapshot`], the Chrome trace export and the bench
+//! reports. Numbers are unsigned 64-bit integers only, which is all the
+//! metric model produces. Nothing in the workspace reads JSON back.
 
 /// A JSON value over the subset this crate emits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
-    Null,
-    Bool(bool),
     UInt(u64),
     Str(String),
     Arr(Vec<Json>),
@@ -17,53 +13,9 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Parse failure with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    pub offset: usize,
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 impl Json {
     pub fn obj(pairs: impl IntoIterator<Item = (String, Json)>) -> Json {
         Json::Obj(pairs.into_iter().collect())
-    }
-
-    /// Member lookup on an object; `None` on other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
     }
 
     /// Render with two-space indentation and a trailing newline-free body.
@@ -75,8 +27,6 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::UInt(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
@@ -119,20 +69,6 @@ impl Json {
             }
         }
     }
-
-    pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing input after value"));
-        }
-        Ok(value)
-    }
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -159,315 +95,13 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.to_owned(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(self.err("only unsigned integers are supported"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<u64>()
-            .map(Json::UInt)
-            .map_err(|e| self.err(&format!("bad integer: {e}")))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => {
-                            self.pos -= 1;
-                            return Err(self.err("unknown escape"));
-                        }
-                    }
-                }
-                // Control characters must be escaped per RFC 8259.
-                _ if b < 0x20 => {
-                    self.pos -= 1;
-                    return Err(self.err("raw control character in string"));
-                }
-                // Multi-byte UTF-8: copy the raw byte run through.
-                _ => {
-                    let start = self.pos - 1;
-                    while let Some(nb) = self.peek() {
-                        if nb == b'"' || nb == b'\\' || nb < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    /// Four hex digits following `\u`, as a code unit.
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("non-ascii \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    /// The body of a `\u` escape, including UTF-16 surrogate pairs
-    /// (`\ud83d\ude00` parses to U+1F600), which writers that escape
-    /// non-ASCII output routinely emit. Lone surrogates are rejected.
-    fn unicode_escape(&mut self) -> Result<char, JsonError> {
-        let code = self.hex4()?;
-        if (0xDC00..=0xDFFF).contains(&code) {
-            return Err(self.err("lone low surrogate in \\u escape"));
-        }
-        if (0xD800..=0xDBFF).contains(&code) {
-            if self.peek() != Some(b'\\') {
-                return Err(self.err("unpaired high surrogate in \\u escape"));
-            }
-            self.pos += 1;
-            if self.peek() != Some(b'u') {
-                return Err(self.err("unpaired high surrogate in \\u escape"));
-            }
-            self.pos += 1;
-            let low = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&low) {
-                return Err(self.err("invalid low surrogate in \\u escape"));
-            }
-            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            return Ok(char::from_u32(combined).expect("combined surrogates are scalar"));
-        }
-        Ok(char::from_u32(code).expect("non-surrogate BMP code is scalar"))
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_nested() {
-        let v = Json::obj([
-            ("empty".to_owned(), Json::Obj(vec![])),
-            (
-                "nums".to_owned(),
-                Json::Arr(vec![Json::UInt(0), Json::UInt(u64::MAX)]),
-            ),
-            ("s".to_owned(), Json::Str("a \"quoted\"\n\ttab \\ π".into())),
-            ("flag".to_owned(), Json::Bool(true)),
-            ("nothing".to_owned(), Json::Null),
-        ]);
-        let text = v.render();
-        assert_eq!(Json::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn rejects_floats_and_garbage() {
-        assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("-3").is_err());
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("{} extra").is_err());
-    }
-
-    #[test]
-    fn parses_unicode_escapes() {
-        let v = Json::parse("\"a\\u00e9b\"").unwrap();
-        assert_eq!(v, Json::Str("aéb".into()));
-    }
-
-    #[test]
-    fn parses_surrogate_pairs() {
-        // U+1F600 as the UTF-16 pair other JSON writers emit.
-        let v = Json::parse("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(v, Json::Str("\u{1F600}".into()));
-        // Pair in the middle of surrounding text.
-        let v = Json::parse("\"a\\ud83d\\ude00b\"").unwrap();
-        assert_eq!(v, Json::Str("a\u{1F600}b".into()));
-    }
-
-    #[test]
-    fn rejects_lone_surrogates() {
-        for bad in [
-            "\"\\ud83d\"",        // high surrogate, then string ends
-            "\"\\ud83d x\"",      // high surrogate, no \u follows
-            "\"\\ud83d\\n\"",     // high surrogate, wrong escape follows
-            "\"\\ud83d\\u0041\"", // high surrogate, non-surrogate follows
-            "\"\\ude00\"",        // low surrogate alone
-        ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn rejects_raw_control_characters_with_offset() {
-        // A raw newline inside a string must be escaped (RFC 8259).
-        let err = Json::parse("\"ab\ncd\"").unwrap_err();
-        assert_eq!(err.offset, 3, "{err}");
-        assert!(err.message.contains("control character"), "{err}");
-        // Also when the control byte follows a multi-byte run.
-        assert!(Json::parse("\"π\u{7}x\"").is_err());
-        // Escaped forms of the same characters are fine.
-        assert_eq!(
-            Json::parse("\"ab\\ncd\\u0007\"").unwrap(),
-            Json::Str("ab\ncd\u{7}".into())
-        );
-    }
-
-    #[test]
-    fn control_characters_roundtrip_through_writer() {
-        let v = Json::Str("bell\u{7} vt\u{b} nl\n".into());
-        let text = v.render();
-        assert!(text.contains("\\u0007") && text.contains("\\u000b"));
-        assert_eq!(Json::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn error_offsets_are_exact() {
-        // Non-integer number: the offset pins the '.' itself.
-        let err = Json::parse("{\"a\": 1.5}").unwrap_err();
-        assert_eq!(err.offset, 7, "{err}");
-        assert!(err.message.contains("unsigned integers"), "{err}");
-        // Bad escape: offset is just past the backslash.
-        let err = Json::parse("\"\\q\"").unwrap_err();
-        assert_eq!(err.offset, 2, "{err}");
-        // Truncated object: offset is end-of-input.
-        let err = Json::parse("{\"a\": 1").unwrap_err();
-        assert_eq!(err.offset, 7, "{err}");
-        // Truncated \u escape.
-        let err = Json::parse("\"\\u00").unwrap_err();
-        assert_eq!(err.offset, 3, "{err}");
+    fn control_characters_are_escaped_by_the_writer() {
+        let v = Json::Str("bell\u{7} vt\u{b} nl\n q\" bs\\ π".into());
+        assert_eq!(v.render(), r#""bell\u0007 vt\u000b nl\n q\" bs\\ π""#);
     }
 }

@@ -204,21 +204,4 @@ mod tests {
         let after = snapshot();
         assert_eq!(after.delta(&before).counter("test.delta"), 7);
     }
-
-    #[test]
-    fn snapshot_json_roundtrip() {
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("a.b".into(), 3);
-        snap.counters.insert("a.c".into(), u64::MAX);
-        snap.timers.insert(
-            "t.x".into(),
-            TimerStat {
-                count: 2,
-                total_ns: 12345,
-            },
-        );
-        let text = snap.to_json();
-        let back = MetricsSnapshot::from_json(&text).expect("parse back");
-        assert_eq!(back, snap);
-    }
 }

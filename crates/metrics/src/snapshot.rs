@@ -1,9 +1,9 @@
-//! Point-in-time metric snapshots with hand-written JSON (de)serialization
-//! and delta arithmetic for per-experiment reporting.
+//! Point-in-time metric snapshots with a hand-written JSON writer and
+//! delta arithmetic for per-experiment reporting.
 
 use std::collections::BTreeMap;
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 
 /// A timer's accumulated state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -74,42 +74,5 @@ impl MetricsSnapshot {
 
     pub fn to_json(&self) -> String {
         self.to_json_value().render()
-    }
-
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        fn bad(message: &str) -> JsonError {
-            JsonError {
-                offset: 0,
-                message: message.to_owned(),
-            }
-        }
-        fn u64_field(v: &Json, key: &str) -> Result<u64, JsonError> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(&format!("missing integer field '{key}'")))
-        }
-        let mut snap = MetricsSnapshot::default();
-        if let Some(pairs) = v.get("counters").and_then(Json::as_obj) {
-            for (name, value) in pairs {
-                let n = value.as_u64().ok_or_else(|| bad("counter not integer"))?;
-                snap.counters.insert(name.clone(), n);
-            }
-        }
-        if let Some(pairs) = v.get("timers").and_then(Json::as_obj) {
-            for (name, value) in pairs {
-                snap.timers.insert(
-                    name.clone(),
-                    TimerStat {
-                        count: u64_field(value, "count")?,
-                        total_ns: u64_field(value, "total_ns")?,
-                    },
-                );
-            }
-        }
-        Ok(snap)
-    }
-
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Json::parse(text)?)
     }
 }

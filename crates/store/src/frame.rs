@@ -79,13 +79,22 @@ pub fn crc32(mut crc: u32, bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Serializes one record (header + payload) into a fresh buffer.
-pub fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() as u64 <= MAX_PAYLOAD as u64,
-        "payload too large"
-    );
-    let len = payload.len() as u32;
+/// Serializes one record (header + payload) into a fresh buffer. A
+/// payload over [`MAX_PAYLOAD`] is refused with
+/// [`std::io::ErrorKind::InvalidInput`]: no reader would accept it.
+pub fn encode_record(kind: u8, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if len <= MAX_PAYLOAD => len,
+        _ => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "record payload of {} bytes exceeds the {MAX_PAYLOAD}-byte cap",
+                    payload.len()
+                ),
+            ))
+        }
+    };
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.push(kind);
     out.extend_from_slice(&len.to_le_bytes());
@@ -94,7 +103,7 @@ pub fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut crc = crc32(0, &out[..5]);
     crc = crc32(crc, payload);
     out[5..9].copy_from_slice(&crc.to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Decodes the record starting at `offset`, validating `kind` against the
@@ -146,7 +155,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let rec = encode_record(b'S', b"(insert {A1})");
+        let rec = encode_record(b'S', b"(insert {A1})").unwrap();
         match decode_record(&rec, 0, b"SA") {
             Decoded::Record {
                 kind,
@@ -163,7 +172,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_valid_but_zero_fill_is_not() {
-        let rec = encode_record(b'A', b"");
+        let rec = encode_record(b'A', b"").unwrap();
         assert!(matches!(
             decode_record(&rec, 0, b"A"),
             Decoded::Record { payload: b"", .. }
@@ -174,7 +183,7 @@ mod tests {
 
     #[test]
     fn torn_tails_are_detected() {
-        let rec = encode_record(b'S', b"payload");
+        let rec = encode_record(b'S', b"payload").unwrap();
         for cut in 1..rec.len() {
             assert_eq!(
                 decode_record(&rec[..cut], 0, b"S"),
@@ -187,7 +196,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let rec = encode_record(b'S', b"some payload bytes");
+        let rec = encode_record(b'S', b"some payload bytes").unwrap();
         for byte in 0..rec.len() {
             for bit in 0..8 {
                 let mut bad = rec.clone();
@@ -207,8 +216,8 @@ mod tests {
 
     #[test]
     fn back_to_back_records_decode_sequentially() {
-        let mut buf = encode_record(b'A', b"rain");
-        buf.extend_from_slice(&encode_record(b'S', b"(insert {rain})"));
+        let mut buf = encode_record(b'A', b"rain").unwrap();
+        buf.extend_from_slice(&encode_record(b'S', b"(insert {rain})").unwrap());
         let Decoded::Record { next, .. } = decode_record(&buf, 0, b"AS") else {
             panic!("first record");
         };

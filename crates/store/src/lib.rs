@@ -9,8 +9,10 @@
 //! * a **write-ahead log** ([`wal`]) of serialized statements and
 //!   atom-interning events, with per-record length + CRC-32 framing
 //!   ([`frame`]) and explicit fsync commit points;
-//! * **snapshots** ([`snapshot`]) of the interned clausal state, written
-//!   with atomic rename-into-place so a crash never exposes a torn file;
+//! * **snapshots** ([`snapshot`]) of the interned clausal state — a
+//!   binary image (two counters, then each clause's literal codes) in the
+//!   same CRC frame — written with atomic rename-into-place so a crash
+//!   never exposes a torn file;
 //! * a **recovery path** ([`Store::open`]) that loads the newest valid
 //!   snapshot, hands back the log suffix for replay, and truncates torn
 //!   tails;
@@ -198,10 +200,7 @@ impl Store {
         let store = Store {
             dir: dir.to_owned(),
             wal,
-            last_snapshot: latest
-                .data
-                .as_ref()
-                .map(|s| (s.wal_records, s.encode().len() as u64)),
+            last_snapshot: snapshot_records.map(|records| (records, latest.bytes)),
             faults: WriteFaults::none(),
             retry: RetryPolicy::default(),
             degraded: None,
@@ -292,19 +291,23 @@ impl Store {
     /// fallback recovery sources. Checkpoint writes run under the same
     /// fault plan, retry budget, and degraded-mode discipline as commits;
     /// a failed checkpoint never corrupts — the snapshot is written to a
-    /// temporary file and renamed into place only when complete.
+    /// temporary file and renamed into place only when complete. A state
+    /// too large to frame is refused before any write, without retries
+    /// and without degrading the store.
     pub fn checkpoint(&mut self, data: &SnapshotData) -> Result<(PathBuf, u64), StoreError> {
         let _sp = pwdb_trace::span!("store.checkpoint");
+        let image = data.encode()?;
         // Anything buffered must be durable before a snapshot may cover it.
         self.commit()?;
-        let (path, bytes) = self.retrying(
+        let path = self.retrying(
             "checkpoint",
             counter!("store.snapshot.retries"),
             |store, fault| match fault {
                 Some(kind) => Err(kind.to_error()),
-                None => snapshot::write_snapshot(&store.dir, data),
+                None => snapshot::write_snapshot(&store.dir, data.wal_records, &image),
             },
         )?;
+        let bytes = image.len() as u64;
         self.last_snapshot = Some((data.wal_records, bytes));
         Ok((path, bytes))
     }
@@ -479,5 +482,34 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.snapshot_records, Some(1));
         assert!(s.snapshot_bytes.unwrap() > 0);
+
+        // A reopen reports the recovered file's size on disk.
+        drop(store);
+        let (store, _) = Store::open(dir.path()).unwrap();
+        let on_disk = std::fs::metadata(dir.path().join(snapshot::snapshot_file_name(1)))
+            .unwrap()
+            .len();
+        assert_eq!(store.stats().snapshot_records, Some(1));
+        assert_eq!(store.stats().snapshot_bytes, Some(on_disk));
+        assert_eq!(on_disk, s.snapshot_bytes.unwrap());
+    }
+
+    #[test]
+    fn oversized_record_is_refused_and_the_store_stays_writable() {
+        let dir = TestDir::new("store-oversized");
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        let huge = Record::Atom("a".repeat(frame::MAX_PAYLOAD as usize + 1));
+        match store.append(&huge) {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+        }
+        assert!(!store.is_degraded());
+        assert_eq!(store.records(), 0);
+        store.append(&stmt(0)).unwrap();
+        store.commit().unwrap();
+        drop(store);
+        let (store, rec) = Store::open(dir.path()).unwrap();
+        assert_eq!(store.records(), 1);
+        assert_eq!(rec.statements, vec!["(insert {A1})".to_owned()]);
     }
 }

@@ -6,26 +6,24 @@
 //!
 //! ```text
 //! ┌───────────────┬──────────────────────────────────────────┐
-//! │ "PWDBSNP1"    │ one framed record (kind 'Z', see frame)  │
-//! │ 8-byte magic  │ payload = JSON body                      │
+//! │ "PWDBSNP2"    │ one framed record (kind 'Z', see frame)  │
+//! │ 8-byte magic  │ payload = binary image below             │
 //! └───────────────┴──────────────────────────────────────────┘
 //! ```
 //!
-//! The JSON body (the PR 1 hand-written `pwdb_metrics::json` dialect —
-//! unsigned integers only) is:
+//! The payload is little-endian throughout:
 //!
-//! ```json
-//! { "pwdb_snapshot": 1,
-//!   "wal_records": 42,
-//!   "updates_run": 17,
-//!   "clauses": [[0, 3], [5]] }
+//! ```text
+//! wal_records: u64 │ updates_run: u64 │ clause │ clause │ …
+//! clause = len: u32 │ len × literal code: u32
 //! ```
 //!
-//! where each clause is an array of packed literal codes
-//! (`atom_id * 2 + negated`, [`pwdb_logic::Literal::code`]). Atom *names*
+//! Clauses follow one another until the payload ends. A literal code is
+//! [`pwdb_logic::Literal::code`] (`atom_id * 2 + negated`). Atom *names*
 //! are deliberately not stored: the WAL's `A` records are the single
 //! source of truth for the name table, so any snapshot combines correctly
-//! with any valid log prefix.
+//! with any valid log prefix. A file with another magic — including the
+//! retired `PWDBSNP1` layout — fails validation like a corrupt one.
 //!
 //! Writes go to a temp file first, `fsync`, then atomic rename into
 //! place, then directory `fsync` — a crash mid-checkpoint leaves either
@@ -37,14 +35,13 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pwdb_logic::{AtomId, Clause, ClauseSet, Literal};
+use pwdb_logic::{Clause, ClauseSet, Literal};
 use pwdb_metrics::counter;
-use pwdb_metrics::json::Json;
 
 use crate::frame::{decode_record, encode_record, Decoded};
 
 /// Magic prefix of every snapshot file.
-pub const MAGIC: &[u8; 8] = b"PWDBSNP1";
+pub const MAGIC: &[u8; 8] = b"PWDBSNP2";
 /// Frame kind byte used for the snapshot body.
 pub const KIND_SNAPSHOT: u8 = b'Z';
 
@@ -61,70 +58,23 @@ pub struct SnapshotData {
 }
 
 impl SnapshotData {
-    fn to_json(&self) -> Json {
-        let clauses = self
-            .clauses
-            .iter()
-            .map(|c| {
-                Json::Arr(
-                    c.literals()
-                        .iter()
-                        .map(|l| Json::UInt(l.code() as u64))
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::obj([
-            ("pwdb_snapshot".to_owned(), Json::UInt(1)),
-            ("wal_records".to_owned(), Json::UInt(self.wal_records)),
-            ("updates_run".to_owned(), Json::UInt(self.updates_run)),
-            ("clauses".to_owned(), Json::Arr(clauses)),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> Result<SnapshotData, String> {
-        if doc.get("pwdb_snapshot").and_then(Json::as_u64) != Some(1) {
-            return Err("not a version-1 snapshot document".to_owned());
+    /// The full file image (magic + framed binary body). A state whose
+    /// body exceeds the frame's payload cap is refused with
+    /// [`std::io::ErrorKind::InvalidInput`].
+    pub fn encode(&self) -> std::io::Result<Vec<u8>> {
+        let words = self.clauses.len() + self.clauses.length();
+        let mut body = Vec::with_capacity(16 + 4 * words);
+        body.extend_from_slice(&self.wal_records.to_le_bytes());
+        body.extend_from_slice(&self.updates_run.to_le_bytes());
+        for c in self.clauses.iter() {
+            body.extend_from_slice(&(c.len() as u32).to_le_bytes());
+            for l in c.literals() {
+                body.extend_from_slice(&l.code().to_le_bytes());
+            }
         }
-        let field = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing numeric '{name}'"))
-        };
-        let Some(Json::Arr(clauses)) = doc.get("clauses") else {
-            return Err("missing 'clauses' array".to_owned());
-        };
-        let mut set = ClauseSet::new();
-        for c in clauses {
-            let Json::Arr(lits) = c else {
-                return Err("clause is not an array".to_owned());
-            };
-            let lits: Result<Vec<Literal>, String> = lits
-                .iter()
-                .map(|l| {
-                    let code = l.as_u64().ok_or("literal is not a number")?;
-                    let code = u32::try_from(code).map_err(|_| "literal code overflow")?;
-                    Ok(Literal::new(AtomId(code >> 1), code & 1 == 0))
-                })
-                .collect();
-            // `insert_raw`: the snapshot is a verbatim image of the state,
-            // not something to re-normalize.
-            set.insert_raw(Clause::new(lits?));
-        }
-        Ok(SnapshotData {
-            wal_records: field("wal_records")?,
-            updates_run: field("updates_run")?,
-            clauses: set,
-        })
-    }
-
-    /// The full file image (magic + framed JSON body).
-    pub fn encode(&self) -> Vec<u8> {
-        let body = self.to_json().render();
-        let mut out = Vec::with_capacity(MAGIC.len() + body.len() + 16);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&encode_record(KIND_SNAPSHOT, body.as_bytes()));
-        out
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&encode_record(KIND_SNAPSHOT, &body)?);
+        Ok(out)
     }
 
     /// Decodes a full file image, validating magic, checksum, and body.
@@ -134,15 +84,51 @@ impl SnapshotData {
         }
         match decode_record(bytes, MAGIC.len(), &[KIND_SNAPSHOT]) {
             Decoded::Record { payload, next, .. } if next == bytes.len() => {
-                let text =
-                    std::str::from_utf8(payload).map_err(|_| "body is not UTF-8".to_owned())?;
-                let doc = Json::parse(text).map_err(|e| e.to_string())?;
-                SnapshotData::from_json(&doc)
+                SnapshotData::decode_body(payload)
             }
             Decoded::Record { .. } => Err("trailing bytes after snapshot body".to_owned()),
             other => Err(format!("snapshot frame invalid: {other:?}")),
         }
     }
+
+    /// Decodes the binary payload. Every read is bounds-checked, and a
+    /// clause length is checked against the bytes left before anything
+    /// is allocated from it.
+    fn decode_body(mut rest: &[u8]) -> Result<SnapshotData, String> {
+        let wal_records = u64::from_le_bytes(take(&mut rest)?);
+        let updates_run = u64::from_le_bytes(take(&mut rest)?);
+        let mut clauses = ClauseSet::new();
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(take(&mut rest)?) as usize;
+            if len > rest.len() / 4 {
+                return Err(format!("clause of {len} literal(s) overruns the body"));
+            }
+            let (codes, tail) = rest.split_at(4 * len);
+            rest = tail;
+            let lits = codes
+                .chunks_exact(4)
+                .map(|w| Literal::from_code(u32::from_le_bytes([w[0], w[1], w[2], w[3]])))
+                .collect();
+            // `insert_raw`: the snapshot is a verbatim image of the state,
+            // not something to re-normalize.
+            clauses.insert_raw(Clause::new(lits));
+        }
+        Ok(SnapshotData {
+            wal_records,
+            updates_run,
+            clauses,
+        })
+    }
+}
+
+/// Splits an `N`-byte word off the front of `rest`, or fails when fewer
+/// bytes remain.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], String> {
+    let (word, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or("snapshot body ends early")?;
+    *rest = tail;
+    Ok(*word)
 }
 
 /// The file name of the snapshot covering `seq` WAL records.
@@ -150,20 +136,20 @@ pub fn snapshot_file_name(seq: u64) -> String {
     format!("snap-{seq:016x}.pwdb")
 }
 
-/// Writes a snapshot atomically into `dir`, returning its path and byte
-/// size. Durable (file and directory both fsynced) when this returns.
-pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> std::io::Result<(PathBuf, u64)> {
+/// Writes a snapshot file image ([`SnapshotData::encode`]) covering
+/// `seq` WAL records atomically into `dir`, returning its path. Durable
+/// (file and directory both fsynced) when this returns.
+pub fn write_snapshot(dir: &Path, seq: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
     let _sp = pwdb_trace::span!("store.snapshot.write");
-    let bytes = data.encode();
-    let final_path = dir.join(snapshot_file_name(data.wal_records));
-    let tmp_path = dir.join(format!(".tmp-{}", snapshot_file_name(data.wal_records)));
+    let final_path = dir.join(snapshot_file_name(seq));
+    let tmp_path = dir.join(format!(".tmp-{}", snapshot_file_name(seq)));
     {
         let mut f = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
-        f.write_all(&bytes)?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp_path, &final_path)?;
@@ -172,7 +158,7 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> std::io::Result<(PathB
     }
     counter!("store.snapshot.writes").inc();
     counter!("store.snapshot.bytes").add(bytes.len() as u64);
-    Ok((final_path, bytes.len() as u64))
+    Ok(final_path)
 }
 
 /// The newest loadable snapshot in `dir`.
@@ -180,6 +166,8 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> std::io::Result<(PathB
 pub struct LatestSnapshot {
     /// The snapshot, if any file validated.
     pub data: Option<SnapshotData>,
+    /// Byte length of the file `data` was decoded from (0 without one).
+    pub bytes: u64,
     /// Snapshot files that existed but failed validation (corrupt, torn,
     /// or unreadable) and were skipped in favor of an older one.
     pub skipped: u64,
@@ -211,12 +199,13 @@ pub fn load_latest(dir: &Path) -> std::io::Result<LatestSnapshot> {
     for (_, path) in &seqs {
         match std::fs::read(path)
             .map_err(|e| e.to_string())
-            .and_then(|b| SnapshotData::decode(&b))
+            .and_then(|b| Ok((SnapshotData::decode(&b)?, b.len() as u64)))
         {
-            Ok(data) => {
+            Ok((data, bytes)) => {
                 counter!("store.snapshot.skipped").add(skipped);
                 return Ok(LatestSnapshot {
                     data: Some(data),
+                    bytes,
                     skipped,
                 });
             }
@@ -226,6 +215,7 @@ pub fn load_latest(dir: &Path) -> std::io::Result<LatestSnapshot> {
     counter!("store.snapshot.skipped").add(skipped);
     Ok(LatestSnapshot {
         data: None,
+        bytes: 0,
         skipped,
     })
 }
@@ -245,10 +235,15 @@ mod tests {
         }
     }
 
+    /// Writes `data`'s image the way a checkpoint does.
+    fn write(dir: &Path, data: &SnapshotData) -> PathBuf {
+        write_snapshot(dir, data.wal_records, &data.encode().unwrap()).unwrap()
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let data = sample(42);
-        let decoded = SnapshotData::decode(&data.encode()).unwrap();
+        let decoded = SnapshotData::decode(&data.encode().unwrap()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -260,15 +255,15 @@ mod tests {
                 updates_run: 0,
                 clauses,
             };
-            assert_eq!(SnapshotData::decode(&data.encode()).unwrap(), data);
+            assert_eq!(SnapshotData::decode(&data.encode().unwrap()).unwrap(), data);
         }
     }
 
     #[test]
     fn write_then_load_latest() {
         let dir = TestDir::new("snap-load");
-        write_snapshot(dir.path(), &sample(10)).unwrap();
-        write_snapshot(dir.path(), &sample(25)).unwrap();
+        write(dir.path(), &sample(10));
+        write(dir.path(), &sample(25));
         let latest = load_latest(dir.path()).unwrap();
         assert_eq!(latest.skipped, 0);
         assert_eq!(latest.data.unwrap().wal_records, 25);
@@ -277,8 +272,8 @@ mod tests {
     #[test]
     fn corrupt_latest_falls_back() {
         let dir = TestDir::new("snap-fallback");
-        write_snapshot(dir.path(), &sample(10)).unwrap();
-        let (newest, _) = write_snapshot(dir.path(), &sample(25)).unwrap();
+        write(dir.path(), &sample(10));
+        let newest = write(dir.path(), &sample(25));
         // Flip one byte in the newest file's body.
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
@@ -293,8 +288,8 @@ mod tests {
     #[test]
     fn all_corrupt_means_no_snapshot() {
         let dir = TestDir::new("snap-none");
-        let (p, _) = write_snapshot(dir.path(), &sample(10)).unwrap();
-        std::fs::write(&p, b"PWDBSNP1 but then garbage").unwrap();
+        let p = write(dir.path(), &sample(10));
+        std::fs::write(&p, b"PWDBSNP2 but then garbage").unwrap();
         let latest = load_latest(dir.path()).unwrap();
         assert_eq!(latest.skipped, 1);
         assert!(latest.data.is_none());
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn leftover_tmp_files_are_ignored() {
         let dir = TestDir::new("snap-tmp");
-        write_snapshot(dir.path(), &sample(10)).unwrap();
+        write(dir.path(), &sample(10));
         std::fs::write(
             dir.path().join(".tmp-snap-00000000000000ff.pwdb"),
             b"half-written garbage",
@@ -317,12 +312,31 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_rejected() {
         let data = sample(7);
-        let bytes = data.encode();
+        let bytes = data.encode().unwrap();
         for cut in [0, 4, MAGIC.len(), bytes.len() - 1] {
             assert!(SnapshotData::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(SnapshotData::decode(&extended).is_err());
+
+        // Checksum-valid frames whose body is malformed: the last clause
+        // claims one literal more than the payload holds, and a payload
+        // too short for the two leading counters.
+        let framed = |body: &[u8]| {
+            let mut image = MAGIC.to_vec();
+            image.extend_from_slice(&encode_record(KIND_SNAPSHOT, body).unwrap());
+            image
+        };
+        let body = &bytes[MAGIC.len() + crate::frame::HEADER_LEN..];
+        assert!(SnapshotData::decode(&framed(body)).is_ok());
+        let last = data.clauses.iter().last().unwrap().len();
+        let at = body.len() - 4 * (1 + last);
+        let mut overrun = body.to_vec();
+        overrun[at..at + 4].copy_from_slice(&(last as u32 + 1).to_le_bytes());
+        assert!(SnapshotData::decode(&framed(&overrun)).is_err());
+        assert!(SnapshotData::decode(&framed(&body[..15])).is_err());
+        let huge = [&body[..16], &u32::MAX.to_le_bytes()[..]].concat();
+        assert!(SnapshotData::decode(&framed(&huge)).is_err());
     }
 }

@@ -65,8 +65,10 @@ impl Record {
         }
     }
 
-    /// The framed on-disk encoding of this record.
-    pub fn encode(&self) -> Vec<u8> {
+    /// The framed on-disk encoding of this record; refused with
+    /// [`std::io::ErrorKind::InvalidInput`] when the payload is over
+    /// [`crate::frame::MAX_PAYLOAD`].
+    pub fn encode(&self) -> std::io::Result<Vec<u8>> {
         encode_record(self.kind(), self.payload())
     }
 }
@@ -184,10 +186,11 @@ impl Wal {
         self.synced_bytes + self.pending.len() as u64
     }
 
-    /// Buffers one record. Not durable until [`Wal::sync`] returns.
+    /// Buffers one record. Not durable until [`Wal::sync`] returns. A
+    /// record too large to frame is refused and nothing is buffered.
     pub fn append(&mut self, record: &Record) -> std::io::Result<()> {
         let _sp = pwdb_trace::span!("store.wal.append");
-        let encoded = record.encode();
+        let encoded = record.encode()?;
         self.pending.extend_from_slice(&encoded);
         self.pending_records += 1;
         self.records += 1;
@@ -321,7 +324,7 @@ mod tests {
         drop(wal);
 
         // Simulate a crash mid-append: half a record at the end.
-        let mut partial = stmt(3).encode();
+        let mut partial = stmt(3).encode().unwrap();
         partial.truncate(partial.len() / 2);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&partial).unwrap();

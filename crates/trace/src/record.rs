@@ -337,35 +337,52 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_shape_round_trips() {
+    fn chrome_export_renders_exactly() {
         let mut leaf = rec(2, Some(1), "child");
+        leaf.start_ns = 2_500;
+        leaf.dur_ns = 1_200;
         leaf.attrs.push(("n", AttrValue::U64(4)));
         let trace = Trace {
             spans: vec![leaf, rec(1, None, "top")],
             dropped: 0,
         };
-        let doc = export_chrome(&trace);
-        let text = doc.render();
-        let back = Json::parse(&text).expect("chrome JSON re-parses");
-        let events = match back.get("traceEvents") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("traceEvents missing: {other:?}"),
-        };
-        assert_eq!(events.len(), 2);
-        for e in events {
-            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(e.get("name").is_some());
-            assert!(e.get("ts").and_then(Json::as_u64).is_some());
-            assert!(e.get("dur").and_then(Json::as_u64).is_some());
-        }
-        let child = &events[0];
-        assert_eq!(
-            child
-                .get("args")
-                .and_then(|a| a.get("parent_span"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
+        let expected = r#"{
+  "traceEvents": [
+    {
+      "name": "child",
+      "cat": "pwdb",
+      "ph": "X",
+      "ts": 2,
+      "dur": 1,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "n": 4,
+        "span_id": 2,
+        "parent_span": 1,
+        "start_ns": 2500,
+        "dur_ns": 1200
+      }
+    },
+    {
+      "name": "top",
+      "cat": "pwdb",
+      "ph": "X",
+      "ts": 0,
+      "dur": 0,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "span_id": 1,
+        "start_ns": 100,
+        "dur_ns": 50
+      }
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "droppedSpans": 0
+}"#;
+        assert_eq!(export_chrome(&trace).render(), expected);
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn outcome(result: &Result<(), GovernedError>) -> String {
     }
 }
 
-/// The reduced algebra's factored `combine` and one-index `mask` change
+/// The reduced algebra's factored `combine` and one-list `mask` change
 /// how much work a statement does, never its outcome. On a stream that
 /// interleaves the adversarial corpus with chained `modify`/`where`
 /// statements and a refused `assert`, both engines commit, reject and

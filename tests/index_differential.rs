@@ -224,8 +224,8 @@ fn combine_and_mask_agree_on_overlapping_inputs() {
     }
 }
 
-/// Hand-picked edge cases of the factored `combine` and the one-index
-/// `mask`.
+/// Hand-picked edge cases of the factored `combine` and the one-list
+/// `mask` over `MinimalSet`.
 #[test]
 fn combine_and_mask_edge_cases_agree() {
     let lit = |a: u32, pos: bool| Literal::new(AtomId(a), pos);

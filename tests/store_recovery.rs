@@ -16,8 +16,9 @@
 
 use pwdb::hlu::{ClausalDatabase, DurableDatabase, DurableError, HluProgram};
 use pwdb::logic::{AtomId, AtomTable, Rng};
-use pwdb::store::fault;
+use pwdb::store::{fault, frame};
 use pwdb::store::{Record, TestDir};
+use pwdb_metrics::json::Json;
 use pwdb_suite::testgen;
 
 const N_ATOMS: usize = 5;
@@ -109,7 +110,7 @@ fn torn_mid_record_recovers_the_prefix() {
     // statement, torn at every cut point.
     let atoms = AtomTable::with_indexed_atoms(N_ATOMS);
     let text = programs[5].display(&atoms).to_string();
-    let encoded = Record::Stmt(text).encode();
+    let encoded = Record::Stmt(text).encode().unwrap();
     for cut in 1..encoded.len() {
         fault::truncate_file(&wal_path(&dir), committed).unwrap();
         fault::append_raw(&wal_path(&dir), &encoded[..cut]).unwrap();
@@ -135,7 +136,7 @@ fn intact_unacked_record_is_replayed() {
 
     let atoms = AtomTable::with_indexed_atoms(N_ATOMS);
     let text = programs[4].display(&atoms).to_string();
-    fault::append_raw(&wal_path(&dir), &Record::Stmt(text).encode()).unwrap();
+    fault::append_raw(&wal_path(&dir), &Record::Stmt(text).encode().unwrap()).unwrap();
 
     let db = ClausalDatabase::open(dir.path()).unwrap();
     assert_identical(&db, &programs); // all 5, including the unacked one
@@ -157,7 +158,7 @@ fn bit_flip_in_unacked_tail_is_detected() {
 
         let atoms = AtomTable::with_indexed_atoms(N_ATOMS);
         let text = programs[n - 1].display(&atoms).to_string();
-        fault::append_raw(&wal_path(&dir), &Record::Stmt(text).encode()).unwrap();
+        fault::append_raw(&wal_path(&dir), &Record::Stmt(text).encode().unwrap()).unwrap();
         let (offset, bit) =
             fault::flip_random_bit_after(&wal_path(&dir), committed, &mut rng).unwrap();
 
@@ -172,13 +173,15 @@ fn bit_flip_in_unacked_tail_is_detected() {
 
 /// Kill-point: mid-snapshot. A corrupt newest snapshot is skipped;
 /// recovery falls back to an older snapshot or to full log replay, and
-/// the result is identical either way.
+/// the result is identical either way. A snapshot in the retired
+/// `PWDBSNP1` layout (a JSON body in the same frame) is skipped the same
+/// way: there is no reader for it.
 #[test]
 fn corrupt_snapshot_falls_back() {
     let mut rng = Rng::new(0x54AB);
     let dir = TestDir::new("rec-snap");
     let programs = script(&mut rng, 8);
-    {
+    let (newest, covered) = {
         let mut db = ClausalDatabase::open(dir.path()).unwrap();
         for p in &programs[..3] {
             db.run(p).unwrap();
@@ -188,10 +191,42 @@ fn corrupt_snapshot_falls_back() {
             db.run(p).unwrap();
         }
         let (newest, _) = db.checkpoint().unwrap();
-        // Corrupt the newest snapshot body.
-        fault::flip_random_bit_after(&newest, 16, &mut rng).unwrap();
-    }
-    {
+        let covered = db.store_stats().snapshot_records.unwrap();
+        (newest, covered)
+    };
+    let retired = {
+        let clauses = oracle(&programs)
+            .state()
+            .iter()
+            .map(|c| {
+                Json::Arr(
+                    c.literals()
+                        .iter()
+                        .map(|l| Json::UInt(l.code().into()))
+                        .collect(),
+                )
+            })
+            .collect();
+        let body = Json::obj([
+            ("pwdb_snapshot".to_owned(), Json::UInt(1)),
+            ("wal_records".to_owned(), Json::UInt(covered)),
+            ("updates_run".to_owned(), Json::UInt(programs.len() as u64)),
+            ("clauses".to_owned(), Json::Arr(clauses)),
+        ])
+        .render();
+        [
+            &b"PWDBSNP1"[..],
+            &frame::encode_record(b'Z', body.as_bytes()).unwrap(),
+        ]
+        .concat()
+    };
+    // Corrupt the newest snapshot body, then put the retired image in its
+    // place.
+    fault::flip_random_bit_after(&newest, 16, &mut rng).unwrap();
+    for replaced in [false, true] {
+        if replaced {
+            std::fs::write(&newest, &retired).unwrap();
+        }
         let db = ClausalDatabase::open(dir.path()).unwrap();
         assert_identical(&db, &programs);
         let r = db.recovery_report();

@@ -12,6 +12,7 @@ use pwdb::hlu::DurableError;
 use pwdb::logic::Limits;
 use pwdb::prelude::*;
 use pwdb::store::{wal, RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
+use pwdb_metrics::json::Json;
 
 fn explained(src: &str, setup: &[&str]) -> Explanation {
     let mut atoms = AtomTable::new();
@@ -204,10 +205,10 @@ mod with_tracer {
     }
 
     /// Every span family the docs promise is recorded by a short session
-    /// (updates of every primitive's kind plus a query), and the captured
-    /// trace survives the Chrome export's JSON round trip.
+    /// (updates of every primitive's kind plus a query), and the Chrome
+    /// export carries one complete (`"ph": "X"`) event per captured span.
     #[test]
-    fn span_families_are_recorded_and_export_round_trips() {
+    fn span_families_are_recorded_and_exported_as_chrome_events() {
         let mut atoms = AtomTable::new();
         let mut db = ClausalDatabase::new();
         let mut run = |text: &str, db: &mut ClausalDatabase| {
@@ -237,21 +238,26 @@ mod with_tracer {
             );
         }
 
-        let rendered = pwdb_trace::export_chrome(&trace).render();
-        let parsed = pwdb_metrics::json::Json::parse(&rendered).expect("Chrome JSON re-parses");
-        assert_eq!(parsed.render(), rendered, "JSON round-trip mismatch");
-        let Some(pwdb_metrics::json::Json::Arr(events)) = parsed.get("traceEvents") else {
+        let Json::Obj(doc) = pwdb_trace::export_chrome(&trace) else {
+            panic!("the export is not an object");
+        };
+        let Some((_, Json::Arr(events))) = doc.iter().find(|(k, _)| k == "traceEvents") else {
             panic!("traceEvents missing");
         };
         assert_eq!(events.len(), trace.spans.len());
-        for ev in events {
-            for key in ["name", "ts", "dur"] {
-                assert!(ev.get(key).is_some(), "event is missing '{key}'");
-            }
+        for (ev, span) in events.iter().zip(&trace.spans) {
+            let Json::Obj(fields) = ev else {
+                panic!("event is not an object: {ev:?}");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(
-                ev.get("ph").and_then(pwdb_metrics::json::Json::as_str),
-                Some("X")
+                keys,
+                ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"]
             );
+            assert_eq!(fields[0].1, Json::Str(span.name.to_owned()));
+            assert_eq!(fields[2].1, Json::Str("X".to_owned()));
+            assert_eq!(fields[3].1, Json::UInt(span.start_ns / 1_000));
+            assert_eq!(fields[4].1, Json::UInt(span.dur_ns / 1_000));
         }
     }
 
