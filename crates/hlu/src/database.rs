@@ -14,11 +14,22 @@
 //! way §1.3.3's discussion prescribes for incomplete databases: after an
 //! update, illegal worlds are eliminated (clausally: the constraints are
 //! asserted).
+//!
+//! The clausal database remembers what has been proven about its current
+//! state — literals shown certain and models found by earlier solves,
+//! starting with the model of the commit's own consistency check — and
+//! answers a conjunction or disjunction of literals from that memo when it
+//! decides the query (see [`Database::is_certain`]).
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use pwdb_blu::{run_program, BluClausal, BluInstance, BluSemantics, Value};
-use pwdb_logic::{cnf_of, governor, AtomId, ClauseSet, ExecError, Limits, LogicError, Wff};
+use pwdb_logic::dpll::SatResult;
+use pwdb_logic::{
+    cnf_of, engine_mode, governor, Assignment, AtomId, Clause, ClauseSet, EngineMode, ExecError,
+    Limits, Literal, LogicError, Solver, Wff, MAX_ATOMS,
+};
 use pwdb_metrics::counter;
 use pwdb_worlds::{Schema, WorldSet};
 
@@ -47,6 +58,11 @@ pub trait HluBackend: BluSemantics {
     /// 64-atom state is representable, `TooManyAtoms` past the packed-
     /// assignment limit instead of a panic.
     fn try_world_count(&self, state: &Self::State, n_atoms: usize) -> Result<u128, LogicError>;
+    /// The state as a clause set, when the backend keeps it as one. Only
+    /// such a state gets the database's per-state query memo.
+    fn clauses(_state: &Self::State) -> Option<&ClauseSet> {
+        None
+    }
 }
 
 impl HluBackend for BluClausal {
@@ -76,6 +92,10 @@ impl HluBackend for BluClausal {
 
     fn try_world_count(&self, state: &ClauseSet, n_atoms: usize) -> Result<u128, LogicError> {
         pwdb_logic::try_count_models(state, n_atoms)
+    }
+
+    fn clauses(state: &ClauseSet) -> Option<&ClauseSet> {
+        Some(state)
     }
 }
 
@@ -121,6 +141,9 @@ impl HluBackend for BluInstance {
 pub struct Database<B: HluBackend> {
     backend: B,
     state: B::State,
+    /// What has been proven about `state`; replaced with it, by
+    /// [`Database::assign`] only.
+    memo: Cell<Memo>,
     /// The integrity constraints, lowered once by
     /// [`Database::with_constraints`] and asserted after every update.
     constraints: Option<B::State>,
@@ -183,6 +206,7 @@ impl<B: HluBackend> Database<B> {
     pub fn with_backend(backend: B) -> Self {
         let state = backend.top();
         Database {
+            memo: Cell::new(Self::unproven(&state)),
             backend,
             state,
             constraints: None,
@@ -194,7 +218,8 @@ impl<B: HluBackend> Database<B> {
     /// Installs integrity constraints enforced after every update.
     pub fn with_constraints(mut self, constraints: Wff) -> Self {
         let lowered = self.backend.lower_state(&constraints);
-        self.state = self.backend.op_assert(&self.state, &lowered);
+        let state = self.backend.op_assert(&self.state, &lowered);
+        self.assign(state, None);
         self.constraints = Some(lowered);
         self
     }
@@ -213,8 +238,22 @@ impl<B: HluBackend> Database<B> {
     /// statement history no longer derives the new state, so it is
     /// cleared.
     pub fn set_state(&mut self, state: B::State) {
-        self.state = state;
+        self.assign(state, None);
         self.history.clear();
+    }
+
+    /// The one place the state changes: `state` becomes current together
+    /// with `memo`, what its computation proved about it (an empty memo
+    /// when `None`), so no memo outlives its state.
+    fn assign(&mut self, state: B::State, memo: Option<Memo>) {
+        self.memo
+            .set(memo.unwrap_or_else(|| Self::unproven(&state)));
+        self.state = state;
+    }
+
+    /// The empty memo of `state`: nothing proven about it yet.
+    fn unproven(state: &B::State) -> Memo {
+        Memo::empty(B::clauses(state).map_or(usize::MAX, ClauseSet::atom_bound))
     }
 
     /// Number of HLU programs run so far.
@@ -245,7 +284,7 @@ impl<B: HluBackend> Database<B> {
     /// oracles use it; [`Database::run_governed`] is the checked path.
     pub fn run(&mut self, prog: &HluProgram) {
         let next = self.next_state(prog);
-        self.install(prog, next);
+        self.install(prog, next, None);
     }
 
     /// The state `prog` maps the current state to, with the constraints
@@ -273,9 +312,10 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Makes `next`, computed by [`Database::next_state`] from the current
-    /// state, the current state, and records `prog` as its cause.
-    pub(crate) fn install(&mut self, prog: &HluProgram, next: B::State) {
-        self.state = next;
+    /// state, the current state with `memo` (what its check proved, if it
+    /// was checked), and records `prog` as its cause.
+    pub(crate) fn install(&mut self, prog: &HluProgram, next: B::State, memo: Option<Memo>) {
+        self.assign(next, memo);
         self.updates_run += 1;
         self.history.push(prog.clone());
     }
@@ -306,25 +346,78 @@ impl<B: HluBackend> Database<B> {
     }
 
     /// Whether `wff` holds in every possible world.
+    ///
+    /// On the clausal backend a literal, a conjunction of literals or a
+    /// disjunction of literals (negations pushed inward) over atoms below
+    /// 64 is answered from the state's memo when it decides the query:
+    /// a remembered model falsifying a conjunct (or every disjunct) makes
+    /// the answer `false`, conjuncts (or a disjunct) already proven certain
+    /// make it `true`. Otherwise one assumption-based solve answers it, and
+    /// its model or its proven literals go back into the memo. The memo
+    /// starts with the model the §1.3.3 check of
+    /// [`Database::run_governed`] found. Every other query, a state over
+    /// more than 64 atoms, and every query under [`EngineMode::Naive`]
+    /// take one refutation of `state ∧ ¬wff`, without the memo.
     pub fn is_certain(&self, wff: &Wff) -> bool {
         let _sp = pwdb_trace::span!("hlu.query.certain", timer = "hlu.query.certain.wall");
-        self.backend.certain(&self.state, wff)
+        self.certain(wff, false)
     }
 
     /// Whether `wff` holds in at least one possible world.
     ///
-    /// One refutation answers it: `¬wff` is certain exactly when no
-    /// possible world satisfies `wff`. An inconsistent state has no
-    /// world, so it makes `¬wff` (vacuously) certain and the answer is
-    /// `false` without a separate consistency check.
+    /// It is `¬certain(¬wff)`: `¬wff` is certain exactly when no possible
+    /// world satisfies `wff`, answered as [`Database::is_certain`] answers
+    /// it, memo included. An inconsistent state has no world, so it makes
+    /// `¬wff` (vacuously) certain and the answer is `false` without a
+    /// separate consistency check.
     pub fn is_possible(&self, wff: &Wff) -> bool {
         let _sp = pwdb_trace::span!("hlu.query.possible", timer = "hlu.query.possible.wall");
-        !self.backend.certain(&self.state, &wff.clone().not())
+        !self.certain(wff, true)
     }
 
-    /// Whether any possible world remains.
+    /// Whether `wff` (`¬wff` when `negate`) holds in every possible world:
+    /// from the memo when the query's shape allows, else by refutation.
+    fn certain(&self, wff: &Wff, negate: bool) -> bool {
+        if let (Some((clauses, mut memo)), Some(query)) =
+            (self.usable_memo(), LiteralQuery::of(wff, negate))
+        {
+            let answer = memo.certain(clauses, query);
+            self.memo.set(memo);
+            return answer;
+        }
+        if negate {
+            self.backend.certain(&self.state, &wff.clone().not())
+        } else {
+            self.backend.certain(&self.state, wff)
+        }
+    }
+
+    /// Whether any possible world remains: `true` without a solve when the
+    /// memo holds a model, otherwise one solve whose model is remembered.
     pub fn is_consistent(&self) -> bool {
-        self.backend.consistent(&self.state)
+        let Some((clauses, mut memo)) = self.usable_memo() else {
+            return self.backend.consistent(&self.state);
+        };
+        if memo.len > 0 {
+            counter!("hlu.query.memo.hits").inc();
+            return true;
+        }
+        let SatResult::Sat(model) = Solver::new(clauses, 0).solve() else {
+            return false;
+        };
+        memo.record(model);
+        self.memo.set(memo);
+        true
+    }
+
+    /// The state's clauses and memo, when the memo may be read and
+    /// written: a clausal state over at most 64 atoms, outside
+    /// [`EngineMode::Naive`] (so the naive engine's answers stay an
+    /// independent oracle).
+    fn usable_memo(&self) -> Option<(&ClauseSet, Memo)> {
+        let clauses = B::clauses(&self.state)?;
+        let memo = self.memo.get();
+        (memo.bound <= MAX_ATOMS && engine_mode() != EngineMode::Naive).then_some((clauses, memo))
     }
 
     /// The number of possible worlds over a universe of `n_atoms` atoms —
@@ -364,32 +457,33 @@ impl<B: HluBackend> Database<B> {
         prog: &HluProgram,
         limits: &Limits,
     ) -> Result<(), GovernedError> {
-        let next = self.checked_next_state(prog, limits)?;
-        self.install(prog, next);
+        let (next, memo) = self.checked_next_state(prog, limits)?;
+        self.install(prog, next, Some(memo));
         Ok(())
     }
 
     /// [`Database::next_state`] under `limits`, followed by the §1.3.3
-    /// consistency check: the result [`Database::run_governed`] installs.
+    /// consistency check: the result [`Database::run_governed`] installs,
+    /// with its memo seeded by the model the check found.
     pub(crate) fn checked_next_state(
         &self,
         prog: &HluProgram,
         limits: &Limits,
-    ) -> Result<B::State, GovernedError> {
+    ) -> Result<(B::State, Memo), GovernedError> {
         counter!("governor.stmt.total").inc();
         let sp = pwdb_trace::span!("governor.stmt");
         let result = pwdb_logic::govern(limits, || {
             let next = self.next_state(prog);
-            let consistent = self.backend.consistent(&next);
-            (next, consistent)
+            let memo = self.consistency_check(&next);
+            (next, memo)
         });
         sp.attr("steps", governor::last_spent());
         let (outcome, result) = match result {
-            Ok((next, true)) => {
+            Ok((next, Some(memo))) => {
                 counter!("governor.stmt.committed").inc();
-                ("committed", Ok(next))
+                ("committed", Ok((next, memo)))
             }
-            Ok((_, false)) => {
+            Ok((_, None)) => {
                 counter!("governor.stmt.rejected").inc();
                 ("rejected", Err(GovernedError::Rejected))
             }
@@ -404,6 +498,177 @@ impl<B: HluBackend> Database<B> {
         };
         sp.attr("outcome", outcome);
         result
+    }
+
+    /// §1.3.3's check: `None` when `state` has no possible world, else its
+    /// memo, holding the model the check's solve found.
+    fn consistency_check(&self, state: &B::State) -> Option<Memo> {
+        let Some(clauses) = B::clauses(state) else {
+            return self
+                .backend
+                .consistent(state)
+                .then(|| Self::unproven(state));
+        };
+        let solver = Solver::new(clauses, 0);
+        let SatResult::Sat(model) = solver.solve() else {
+            return None;
+        };
+        let mut memo = Memo::empty(solver.n_atoms());
+        if memo.bound <= MAX_ATOMS && engine_mode() != EngineMode::Naive {
+            memo.record(model);
+        }
+        Some(memo)
+    }
+}
+
+/// Models a [`Memo`] keeps; a new one overwrites the oldest.
+const MEMO_MODELS: usize = 16;
+
+/// What has been proven about one clausal state: the literals shown
+/// certain and up to [`MEMO_MODELS`] of its models. Inline and `Copy`, so
+/// replacing it with the state allocates nothing.
+///
+/// Literal sets are `u128` bitsets over atoms below 64: bit `a` stands for
+/// the literal `A(a+1)`, bit `64 + a` for its negation. A model is packed
+/// as [`Assignment::bits`]; an atom it leaves out is false, which is a
+/// valid completion, since DPLL reports a model only once every clause is
+/// satisfied and the state does not mention atoms past its bound.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Memo {
+    /// The state's atom bound; past 64 a model does not fit a word and the
+    /// memo is not used.
+    bound: usize,
+    /// Literals true in every model of the state.
+    certain: u128,
+    /// A ring of models of the state: the first `len` slots are filled,
+    /// and `next` is the slot the next model overwrites.
+    models: [u64; MEMO_MODELS],
+    len: u8,
+    next: u8,
+}
+
+impl Memo {
+    /// Nothing proven yet about a state of atom bound `bound`.
+    fn empty(bound: usize) -> Memo {
+        Memo {
+            bound,
+            certain: 0,
+            models: [0; MEMO_MODELS],
+            len: 0,
+            next: 0,
+        }
+    }
+
+    /// Remembers `model`, overwriting the oldest when the ring is full.
+    fn record(&mut self, model: Assignment) {
+        self.models[self.next as usize] = model.bits();
+        self.next = (self.next + 1) % MEMO_MODELS as u8;
+        self.len = (self.len + 1).min(MEMO_MODELS as u8);
+    }
+
+    /// The literals each remembered model makes true.
+    fn model_literals(&self) -> impl Iterator<Item = u128> + '_ {
+        self.models[..self.len as usize]
+            .iter()
+            .map(|&m| m as u128 | (!m as u128) << 64)
+    }
+
+    /// Whether `query` holds in every model of `clauses`, the state: from
+    /// the memo when it decides the query (counted in
+    /// `hlu.query.memo.hits`), else by one solve whose result is
+    /// remembered.
+    fn certain(&mut self, clauses: &ClauseSet, query: LiteralQuery) -> bool {
+        let lits = query.lits;
+        let decided = if query.conj {
+            if self.model_literals().any(|t| lits & !t != 0) {
+                Some(false)
+            } else {
+                (lits & !self.certain == 0).then_some(true)
+            }
+        } else if lits & self.certain != 0 {
+            Some(true)
+        } else {
+            self.model_literals()
+                .any(|t| lits & t == 0)
+                .then_some(false)
+        };
+        if let Some(answer) = decided {
+            counter!("hlu.query.memo.hits").inc();
+            return answer;
+        }
+        // A conjunction refutes `state ∧ (¬l₁ ∨ …)` over the conjuncts not
+        // yet proven, which is unsatisfiable exactly when each of them is
+        // certain; a disjunction solves under the assumptions `¬lᵢ`.
+        let (result, proven) = if query.conj {
+            let open = lits & !self.certain;
+            let refutation: Clause = literals(open).map(Literal::negated).collect();
+            let mut solver = Solver::new(clauses, 0);
+            solver.add_clause(&refutation);
+            (solver.solve(), open)
+        } else {
+            let assumptions: Vec<Literal> = literals(lits).map(Literal::negated).collect();
+            (Solver::new(clauses, 0).solve_with(&assumptions), 0)
+        };
+        match result {
+            SatResult::Sat(model) => {
+                self.record(model);
+                false
+            }
+            SatResult::Unsat => {
+                self.certain |= proven;
+                true
+            }
+        }
+    }
+}
+
+/// The literals of a memo literal set (see [`Memo`]).
+fn literals(set: u128) -> impl Iterator<Item = Literal> {
+    let mut rest = set;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            Literal::new(AtomId(bit % 64), bit < 64)
+        })
+    })
+}
+
+/// A query the memo can answer: a conjunction (`conj`) or a disjunction
+/// of the literal set `lits` (see [`Memo`]). A single literal counts as a
+/// conjunction.
+#[derive(Debug, Clone, Copy)]
+struct LiteralQuery {
+    lits: u128,
+    conj: bool,
+}
+
+impl LiteralQuery {
+    /// `wff`, negated when `negate`, with negations pushed inward, when it
+    /// is a literal or an `∧`-tree or `∨`-tree of literals over atoms
+    /// below 64; `None` for any other shape.
+    fn of(wff: &Wff, negate: bool) -> Option<LiteralQuery> {
+        fn walk(w: &Wff, neg: bool, conj: &mut Option<bool>, lits: &mut u128) -> bool {
+            match w {
+                Wff::Atom(a) if a.index() < MAX_ATOMS => {
+                    *lits |= 1 << (a.index() + if neg { 64 } else { 0 });
+                    true
+                }
+                Wff::Not(inner) => walk(inner, !neg, conj, lits),
+                Wff::And(l, r) | Wff::Or(l, r) => {
+                    let is_conj = matches!(w, Wff::And(..)) != neg;
+                    *conj.get_or_insert(is_conj) == is_conj
+                        && walk(l, neg, conj, lits)
+                        && walk(r, neg, conj, lits)
+                }
+                _ => false,
+            }
+        }
+        let (mut conj, mut lits) = (None, 0);
+        walk(wff, negate, &mut conj, &mut lits).then(|| LiteralQuery {
+            lits,
+            conj: conj.unwrap_or(true),
+        })
     }
 }
 
@@ -553,7 +818,7 @@ impl From<ExecError> for GovernedError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwdb_logic::{parse_wff, AtomTable};
+    use pwdb_logic::{parse_wff, with_engine, AtomTable};
 
     fn wff(n: usize, text: &str) -> Wff {
         let mut t = AtomTable::with_indexed_atoms(n);
@@ -922,6 +1187,158 @@ mod tests {
         assert!(!exp.render().contains("outcome:"));
         assert_eq!(exp.statement, "(insert {A2})");
         assert_eq!(db.updates_run(), 2);
+    }
+
+    /// The memo of `db`'s current state.
+    fn memo(db: &ClausalDatabase) -> Memo {
+        db.memo.get()
+    }
+
+    #[test]
+    fn literal_query_shapes() {
+        let q = |text: &str, negate: bool| {
+            LiteralQuery::of(&wff(66, text), negate).map(|q| (q.lits, q.conj))
+        };
+        let (a1, a2, a3) = (1u128, 2u128, 4u128);
+        let neg = |bits: u128| bits << 64;
+        assert_eq!(q("A1", false), Some((a1, true)));
+        assert_eq!(q("A1", true), Some((neg(a1), true)));
+        assert_eq!(q("A1 & !A2 & A3", false), Some((a1 | neg(a2) | a3, true)));
+        assert_eq!(
+            q("A1 | (!A2 | A3)", false),
+            Some((a1 | neg(a2) | a3, false))
+        );
+        // `is_possible`'s negation, and any inner one, is pushed inward.
+        assert_eq!(q("A1 & !A2", true), Some((neg(a1) | a2, false)));
+        assert_eq!(
+            q("!(A1 | A2) & !A3", false),
+            Some((neg(a1 | a2 | a3), true))
+        );
+        assert_eq!(q("A64", false), Some((1 << 63, true)));
+        for other in [
+            "A1 & (A2 | A3)",
+            "A1 -> A2",
+            "A1 <-> A2",
+            "1",
+            "A1 & 0",
+            "A65",
+        ] {
+            assert_eq!(q(other, false), None, "{other}");
+        }
+    }
+
+    #[test]
+    fn governed_commit_seeds_the_memo_and_every_other_assignment_empties_it() {
+        with_engine(EngineMode::Indexed, || {
+            let mut db = ClausalDatabase::new();
+            let limits = Limits::unlimited();
+            db.run_governed(&HluProgram::Insert(wff(3, "A1 | A2")), &limits)
+                .unwrap();
+            let seeded = memo(&db);
+            assert_eq!((seeded.len, seeded.bound), (1, 2));
+            let model = Assignment::from_bits(seeded.models[0], 3);
+            assert!(db.state().eval(&model), "the seed is a model of the state");
+
+            // A rejected statement leaves state and memo as they were.
+            let rejected = HluProgram::Assert(wff(3, "!A1 & !A2"));
+            assert_eq!(
+                db.run_governed(&rejected, &limits),
+                Err(GovernedError::Rejected)
+            );
+            assert_eq!(memo(&db).models, seeded.models);
+
+            db.run(&HluProgram::Insert(wff(3, "A3")));
+            assert_eq!((memo(&db).len, memo(&db).bound), (0, 3));
+            assert!(db.is_certain(&wff(3, "A3")));
+            assert_ne!(memo(&db).certain, 0);
+            db.set_state(ClauseSet::new());
+            assert_eq!((memo(&db).len, memo(&db).certain), (0, 0));
+            assert!(db.is_consistent());
+            assert_eq!(memo(&db).len, 1, "a consistency solve leaves its model");
+            let db = db.with_constraints(wff(3, "A1"));
+            assert_eq!((memo(&db).len, memo(&db).bound), (0, 1));
+        });
+    }
+
+    #[test]
+    fn memo_rules_answer_and_record() {
+        with_engine(EngineMode::Indexed, || {
+            let mut db = ClausalDatabase::new();
+            db.run_governed(
+                &HluProgram::Insert(wff(4, "A1 & A2 & (A3 | A4)")),
+                &Limits::unlimited(),
+            )
+            .unwrap();
+            // A conjunction proven by one solve records each conjunct.
+            assert!(db.is_certain(&wff(4, "A1 & A2")));
+            assert_eq!(memo(&db).certain, 0b11);
+            // Then each conjunct, and any disjunction holding one, is certain
+            // from the memo, without a model being added.
+            let len = memo(&db).len;
+            assert!(db.is_certain(&wff(4, "A2")));
+            assert!(db.is_certain(&wff(4, "!A4 | A1")));
+            assert!(!db.is_possible(&wff(4, "!A1")));
+            assert_eq!(memo(&db).len, len);
+            // A failed refutation leaves its model: `A3` is not certain,
+            // and the model falsifying it refutes `A3 & A1` and `A3 | A3`.
+            assert!(!db.is_certain(&wff(4, "A3")));
+            assert_eq!(memo(&db).len, len + 1);
+            assert!(!db.is_certain(&wff(4, "A3 & A1")));
+            assert!(!db.is_certain(&wff(4, "A3 | A3")));
+            assert_eq!(memo(&db).len, len + 1);
+            assert!(db.is_certain(&wff(4, "A3 | A4")));
+        });
+    }
+
+    #[test]
+    fn the_ring_keeps_the_newest_models() {
+        let mut memo = Memo::empty(8);
+        for bits in 0..(MEMO_MODELS as u64 + 3) {
+            memo.record(Assignment::from_bits(bits, 8));
+        }
+        assert_eq!(memo.len as usize, MEMO_MODELS);
+        let mut kept = memo.models.to_vec();
+        kept.sort_unstable();
+        assert_eq!(kept, (3..MEMO_MODELS as u64 + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn naive_engine_neither_reads_nor_writes_the_memo() {
+        let mut db = ClausalDatabase::new();
+        let seeded = with_engine(EngineMode::Indexed, || {
+            db.run_governed(&HluProgram::Insert(wff(2, "A1")), &Limits::unlimited())
+                .unwrap();
+            memo(&db)
+        });
+        with_engine(EngineMode::Naive, || {
+            assert!(db.is_certain(&wff(2, "A1")));
+            assert!(!db.is_certain(&wff(2, "A2")));
+            assert!(db.is_consistent());
+            let after = memo(&db);
+            assert_eq!((after.len, after.certain), (seeded.len, seeded.certain));
+            // A commit under the naive engine installs an empty memo.
+            db.run_governed(&HluProgram::Insert(wff(2, "A2")), &Limits::unlimited())
+                .unwrap();
+            assert_eq!(memo(&db).len, 0);
+        });
+    }
+
+    #[test]
+    fn a_state_past_64_atoms_is_answered_without_the_memo() {
+        with_engine(EngineMode::Indexed, || {
+            let mut db = ClausalDatabase::new();
+            db.run_governed(
+                &HluProgram::Insert(wff(65, "A65 & !A1")),
+                &Limits::unlimited(),
+            )
+            .unwrap();
+            assert_eq!((memo(&db).bound, memo(&db).len), (65, 0));
+            assert!(db.is_certain(&wff(65, "A65 & !A1")));
+            assert!(!db.is_possible(&wff(65, "A1")));
+            assert!(db.is_possible(&wff(65, "A2")) && !db.is_certain(&wff(65, "A2")));
+            assert!(db.is_consistent());
+            assert_eq!((memo(&db).len, memo(&db).certain), (0, 0));
+        });
     }
 
     #[test]

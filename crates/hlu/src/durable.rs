@@ -42,7 +42,7 @@ use pwdb_metrics::counter;
 use pwdb_store::{Record, RetryPolicy, SnapshotData, Store, StoreError, StoreStats, WriteFaults};
 
 use crate::ast::HluProgram;
-use crate::database::{ClausalDatabase, Explanation, GovernedError};
+use crate::database::{ClausalDatabase, Explanation, GovernedError, Memo};
 use crate::parser::{parse_hlu, parse_hlu_statement, HluStatement};
 
 /// Failures of the durable layer.
@@ -308,7 +308,7 @@ impl DurableDatabase {
     /// it. If logging fails (I/O fault, degraded store), the error surfaces
     /// and memory is untouched — memory never runs ahead of the log.
     pub fn run(&mut self, prog: &HluProgram) -> Result<(), DurableError> {
-        self.commit(prog, |db| Ok(db.next_state(prog)))
+        self.commit(prog, |db| Ok((db.next_state(prog), None)))
     }
 
     /// Runs one statement under resource `limits`, durably, with the checks
@@ -317,7 +317,10 @@ impl DurableDatabase {
     /// installed and the WAL **never sees the failed statement**. Only a
     /// result that passed is logged, and only a logged one is installed.
     pub fn run_governed(&mut self, prog: &HluProgram, limits: &Limits) -> Result<(), DurableError> {
-        self.commit(prog, |db| Ok(db.checked_next_state(prog, limits)?))
+        self.commit(prog, |db| {
+            let (next, memo) = db.checked_next_state(prog, limits)?;
+            Ok((next, Some(memo)))
+        })
     }
 
     /// Parses and runs one shell-level statement under `limits`. An
@@ -339,17 +342,18 @@ impl DurableDatabase {
         }
     }
 
-    /// The one durable write path: compute the next state, log `prog`,
-    /// then install the state. A failure at either of the first two steps
-    /// returns before anything is assigned.
+    /// The one durable write path: compute the next state (with the memo
+    /// its check proved, when it was checked), log `prog`, then install the
+    /// state. A failure at either of the first two steps returns before
+    /// anything is assigned.
     fn commit(
         &mut self,
         prog: &HluProgram,
-        next_state: impl FnOnce(&ClausalDatabase) -> Result<ClauseSet, DurableError>,
+        next_state: impl FnOnce(&ClausalDatabase) -> Result<(ClauseSet, Option<Memo>), DurableError>,
     ) -> Result<(), DurableError> {
-        let next = next_state(&self.db)?;
+        let (next, memo) = next_state(&self.db)?;
         self.log_statement(prog)?;
-        self.db.install(prog, next);
+        self.db.install(prog, next, memo);
         Ok(())
     }
 

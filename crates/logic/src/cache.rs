@@ -178,31 +178,39 @@ mod tests {
         CACHE.get_or_init(|| MemoCache::new("logic.cache.test", 4))
     }
 
+    // The engine mode is process-global and `naive_mode_bypasses` flips
+    // it, so every test that relies on the cache being consulted pins the
+    // indexed engine under the engine lock.
+
     #[test]
     fn memoizes_and_counts() {
-        let cache = test_cache();
-        let mut calls = 0;
-        let a = cache.get_or_insert_with(1, || {
-            calls += 1;
-            10
+        with_engine(EngineMode::Indexed, || {
+            let cache = test_cache();
+            let mut calls = 0;
+            let a = cache.get_or_insert_with(1, || {
+                calls += 1;
+                10
+            });
+            let b = cache.get_or_insert_with(1, || {
+                calls += 1;
+                10
+            });
+            assert_eq!((a, b, calls), (10, 10, 1));
+            let s = cache.stats();
+            assert!(s.hits >= 1 && s.misses >= 1);
         });
-        let b = cache.get_or_insert_with(1, || {
-            calls += 1;
-            10
-        });
-        assert_eq!((a, b, calls), (10, 10, 1));
-        let s = cache.stats();
-        assert!(s.hits >= 1 && s.misses >= 1);
     }
 
     #[test]
     fn capacity_flushes_wholesale() {
-        let cache: MemoCache<u64, u64> = MemoCache::new("logic.cache.cap_test", 2);
-        for k in 0..5 {
-            cache.get_or_insert_with(k, || k);
-        }
-        assert!(cache.stats().entries <= 2);
-        assert!(cache.stats().invalidations >= 1);
+        with_engine(EngineMode::Indexed, || {
+            let cache: MemoCache<u64, u64> = MemoCache::new("logic.cache.cap_test", 2);
+            for k in 0..5 {
+                cache.get_or_insert_with(k, || k);
+            }
+            assert!(cache.stats().entries <= 2);
+            assert!(cache.stats().invalidations >= 1);
+        });
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
     let interactive = stdin.is_terminal();
 
     let mut backend = Backend::Memory {
-        db: ClausalDatabase::new(),
+        db: Box::default(),
         atoms: AtomTable::new(),
     };
     let mut shell = Shell::new();
@@ -114,7 +114,7 @@ enum Reply {
 /// durable one that logs every statement it applies.
 enum Backend {
     Memory {
-        db: ClausalDatabase,
+        db: Box<ClausalDatabase>,
         atoms: AtomTable,
     },
     Durable(Box<DurableDatabase>),

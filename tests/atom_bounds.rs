@@ -8,9 +8,9 @@
 //! with a consistent typed `TooManyAtoms` everywhere rather than a
 //! panic or a silent wrap.
 
-use pwdb::hlu::ClausalDatabase;
+use pwdb::hlu::{ClausalDatabase, HluProgram};
 use pwdb::logic::{
-    parse_wff, try_count_models, Assignment, AtomTable, ClauseSet, LogicError, MAX_ATOMS,
+    parse_wff, try_count_models, Assignment, AtomTable, ClauseSet, Limits, LogicError, MAX_ATOMS,
 };
 
 #[test]
@@ -28,6 +28,36 @@ fn world_counts_are_exact_at_63_and_64_atoms() {
     let mut db = ClausalDatabase::new();
     db.insert(parse_wff("A64", &mut atoms).unwrap());
     assert_eq!(db.try_world_count(64), Ok(1u128 << 63));
+}
+
+#[test]
+fn queries_past_the_packed_word_answer_through_refutation() {
+    // The query memo packs a model into one `u64`, so a query naming atom
+    // 64 (`A65`), and every query on a state that holds it, is answered by
+    // refutation instead.
+    let mut atoms = AtomTable::with_indexed_atoms(65);
+    let mut wff = |text: &str| parse_wff(text, &mut atoms).unwrap();
+    let (a1, a2, a65) = (wff("A1"), wff("A2"), wff("A65"));
+    let (not_a1, a1_and_a65, a1_or_a65) = (wff("!A1"), wff("A1 & A65"), wff("A1 | A65"));
+    let unlimited = Limits::unlimited();
+
+    let mut db = ClausalDatabase::new();
+    db.run_governed(&HluProgram::Insert(a1.clone()), &unlimited)
+        .unwrap();
+    assert!(!db.is_certain(&a65) && db.is_possible(&a65));
+    assert!(!db.is_certain(&a1_and_a65) && db.is_possible(&a1_and_a65));
+    assert!(db.is_certain(&a1_or_a65));
+
+    db.run_governed(
+        &HluProgram::Insert(a65.clone().and(not_a1.clone())),
+        &unlimited,
+    )
+    .unwrap();
+    assert!(db.is_certain(&a65) && db.is_certain(&not_a1));
+    assert!(!db.is_possible(&a1) && !db.is_possible(&a1_and_a65));
+    assert!(db.is_certain(&a1_or_a65));
+    assert!(db.is_possible(&a2) && !db.is_certain(&a2));
+    assert!(db.is_consistent());
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! `pwdb-metrics` counters are process-global, so exact deltas are only
 //! trustworthy where nothing else runs concurrently. This binary
 //! therefore holds a single test, run in sequence: one timer event per
-//! span of each timed operation, one governor outcome counter per
+//! span of each timed operation, one memo hit or one solve per query,
+//! one governor outcome counter per
 //! governed statement (an isolated engine panic included), one
 //! `complement` product per disjunction formed, one fsync per
 //! durable commit, one snapshot write per checkpoint, a replay count
@@ -81,6 +82,38 @@ fn counters_match_the_work_done() {
         assert_eq!(calls(timer), STATEMENTS as u64, "{timer}");
         assert_eq!(spans(span), STATEMENTS as u64, "{span}");
     }
+
+    // Every query is answered either from the per-state memo (one
+    // `hlu.query.memo.hits`) or by exactly one solve, and a repeated query
+    // on an unchanged state is a hit.
+    let queries = [
+        Wff::atom(2),
+        Wff::atom(0).and(Wff::atom(3).not()),
+        Wff::atom(1).or(Wff::atom(2)),
+        Wff::atom(0).implies(Wff::atom(3)),
+    ];
+    let mut db = ClausalDatabase::new().with_constraints(Wff::atom(0).or(Wff::atom(1)));
+    let (mut asked, mut hits, mut solves) = (0, 0, 0);
+    for (i, p) in programs.iter().enumerate() {
+        if i % 2 == 0 {
+            db.run(p);
+        } else {
+            let _ = db.run_governed(p, &Limits::unlimited());
+        }
+        let before = pwdb_metrics::snapshot();
+        for q in &queries {
+            db.is_certain(q);
+            db.is_possible(q);
+            asked += 2;
+        }
+        let d = pwdb_metrics::snapshot().delta(&before);
+        hits += d.counter("hlu.query.memo.hits");
+        solves += d.counter("logic.dpll.solves");
+        let (repeat_hits, _) = delta("hlu.query.memo.hits", || db.is_certain(&queries[1]));
+        assert_eq!(repeat_hits, 1, "repeated query after {p}");
+    }
+    assert_eq!(hits + solves, asked);
+    assert!(hits > 0 && solves > 0, "{hits} hits, {solves} solves");
 
     // Each governed statement lands in exactly one outcome counter.
     let generous = Limits::budget(Budget::steps(u64::MAX / 2));
