@@ -38,7 +38,7 @@
 //! | `mask`      | O(L^{2^|P|})                                   |
 //! | `genmask`   | Θ(2^{|Prop|} · L · |Prop|²); NP-complete core |
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -149,11 +149,25 @@ impl BluClausal {
     /// Splits `combine`'s inputs into their shared clauses `C = Φ₁ ∩ Φ₂`
     /// and the residues `Φ₁ ∖ C`, `Φ₂ ∖ C`. Tautologies are dropped on the
     /// way: every product with one is a tautology, which `combine` drops.
+    /// One merge of the two sorted inputs fills the three parts, and each
+    /// is bulk-built.
     fn split_shared(phi1: &ClauseSet, phi2: &ClauseSet) -> [ClauseSet; 3] {
-        let (shared, rest1): (ClauseSet, ClauseSet) =
-            phi1.iter().cloned().partition(|c| phi2.contains(c));
-        let rest2 = phi2.iter().filter(|c| !phi1.contains(c)).cloned().collect();
-        [shared, rest1, rest2]
+        let [mut shared, mut rest1, mut rest2] = [Vec::new(), Vec::new(), Vec::new()];
+        let mut a = phi1.iter().filter(|c| !c.is_tautology()).peekable();
+        let mut b = phi2.iter().filter(|c| !c.is_tautology()).peekable();
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match x.cmp(y) {
+                Ordering::Less => rest1.extend(a.next().cloned()),
+                Ordering::Greater => rest2.extend(b.next().cloned()),
+                Ordering::Equal => {
+                    shared.extend(a.next().cloned());
+                    b.next();
+                }
+            }
+        }
+        rest1.extend(a.cloned());
+        rest2.extend(b.cloned());
+        [shared, rest1, rest2].map(ClauseSet::from_clauses_raw)
     }
 
     /// `complement(Φ)` via the recursive support procedure `C` of
@@ -176,7 +190,7 @@ impl BluClausal {
                 governor::step_n((d.len() * gamma.len().max(1)) as u64 + 1);
                 products.add(gamma.len() as u64);
                 for &lambda in gamma.literals() {
-                    next.insert(d.disjoin(&Clause::unit(lambda.negated())));
+                    next.insert(d.with(lambda.negated()));
                 }
             }
             delta = next;

@@ -6,7 +6,14 @@
 //! binding appropriate concrete domain values to the argument list of the
 //! lambda expression and then evaluating the term" — [`run_program`] does
 //! exactly that, and is shared verbatim by **BLU-I** and **BLU-C**.
+//!
+//! Values are immutable, and the compiled HLU statements use `s0` and
+//! their parameters several times (Definitions 3.1.2, 3.2.3), so the
+//! evaluator borrows each variable's binding instead of copying it: only
+//! the operators produce new values, and a body that is a bare variable
+//! is copied once, for the result.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -149,34 +156,7 @@ pub fn eval_sterm<A: BluSemantics + ?Sized>(
     term: &STerm,
     env: &Env<A>,
 ) -> Result<A::State, EvalError> {
-    match term {
-        STerm::Var(v) => env.state(v).cloned(),
-        STerm::Assert(a, b) => {
-            // The span guard covers both subterm evaluations and the op,
-            // so the trace tree mirrors the BLU term tree.
-            let _sp = span!("blu.eval.assert");
-            let x = eval_sterm(alg, a, env)?;
-            let y = eval_sterm(alg, b, env)?;
-            Ok(alg.op_assert(&x, &y))
-        }
-        STerm::Combine(a, b) => {
-            let _sp = span!("blu.eval.combine");
-            let x = eval_sterm(alg, a, env)?;
-            let y = eval_sterm(alg, b, env)?;
-            Ok(alg.op_combine(&x, &y))
-        }
-        STerm::Complement(a) => {
-            let _sp = span!("blu.eval.complement");
-            let x = eval_sterm(alg, a, env)?;
-            Ok(alg.op_complement(&x))
-        }
-        STerm::Mask(a, m) => {
-            let _sp = span!("blu.eval.mask");
-            let x = eval_sterm(alg, a, env)?;
-            let mm = eval_mterm(alg, m, env)?;
-            Ok(alg.op_mask(&x, &mm))
-        }
-    }
+    sterm(alg, term, env).map(Cow::into_owned)
 }
 
 /// Evaluates a mask term.
@@ -185,14 +165,60 @@ pub fn eval_mterm<A: BluSemantics + ?Sized>(
     term: &MTerm,
     env: &Env<A>,
 ) -> Result<A::Mask, EvalError> {
-    match term {
-        MTerm::Var(v) => env.mask(v).cloned(),
+    mterm(alg, term, env).map(Cow::into_owned)
+}
+
+/// [`eval_sterm`] without copies: a variable borrows its binding, an
+/// operator returns its owned result.
+fn sterm<'env, A: BluSemantics + ?Sized>(
+    alg: &A,
+    term: &STerm,
+    env: &'env Env<A>,
+) -> Result<Cow<'env, A::State>, EvalError> {
+    Ok(match term {
+        STerm::Var(v) => Cow::Borrowed(env.state(v)?),
+        STerm::Assert(a, b) => {
+            // The span guard covers both subterm evaluations and the op,
+            // so the trace tree mirrors the BLU term tree.
+            let _sp = span!("blu.eval.assert");
+            let x = sterm(alg, a, env)?;
+            let y = sterm(alg, b, env)?;
+            Cow::Owned(alg.op_assert(&x, &y))
+        }
+        STerm::Combine(a, b) => {
+            let _sp = span!("blu.eval.combine");
+            let x = sterm(alg, a, env)?;
+            let y = sterm(alg, b, env)?;
+            Cow::Owned(alg.op_combine(&x, &y))
+        }
+        STerm::Complement(a) => {
+            let _sp = span!("blu.eval.complement");
+            let x = sterm(alg, a, env)?;
+            Cow::Owned(alg.op_complement(&x))
+        }
+        STerm::Mask(a, m) => {
+            let _sp = span!("blu.eval.mask");
+            let x = sterm(alg, a, env)?;
+            let mm = mterm(alg, m, env)?;
+            Cow::Owned(alg.op_mask(&x, &mm))
+        }
+    })
+}
+
+/// [`eval_mterm`] without copies, as [`sterm`].
+fn mterm<'env, A: BluSemantics + ?Sized>(
+    alg: &A,
+    term: &MTerm,
+    env: &'env Env<A>,
+) -> Result<Cow<'env, A::Mask>, EvalError> {
+    Ok(match term {
+        MTerm::Var(v) => Cow::Borrowed(env.mask(v)?),
         MTerm::Genmask(s) => {
             let _sp = span!("blu.eval.genmask");
-            let x = eval_sterm(alg, s, env)?;
-            Ok(alg.op_genmask(&x))
+            let x = sterm(alg, s, env)?;
+            Cow::Owned(alg.op_genmask(&x))
         }
-    }
+    })
 }
 
 /// Runs a program on an argument vector: binds positionally, checks sorts,
@@ -313,6 +339,79 @@ mod tests {
             eval_sterm(&ToyAlg, &term, &env).unwrap_err(),
             EvalError::Unbound("ghost".into())
         );
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A [`ToyAlg`] state that counts its own `clone()` calls.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|n| n.set(n.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// [`ToyAlg`] over [`Counted`] states.
+    struct CountingAlg;
+
+    impl BluSemantics for CountingAlg {
+        type State = Counted;
+        type Mask = u32;
+
+        fn op_assert(&self, x: &Counted, y: &Counted) -> Counted {
+            Counted(ToyAlg.op_assert(&x.0, &y.0))
+        }
+        fn op_combine(&self, x: &Counted, y: &Counted) -> Counted {
+            Counted(ToyAlg.op_combine(&x.0, &y.0))
+        }
+        fn op_complement(&self, x: &Counted) -> Counted {
+            Counted(ToyAlg.op_complement(&x.0))
+        }
+        fn op_mask(&self, x: &Counted, m: &u32) -> Counted {
+            Counted(ToyAlg.op_mask(&x.0, m))
+        }
+        fn op_genmask(&self, x: &Counted) -> u32 {
+            ToyAlg.op_genmask(&x.0)
+        }
+    }
+
+    /// Runs `program` on states `1, 2, …` and returns the result and the
+    /// number of state clones the run made.
+    fn clones_of(program: &str) -> (u32, usize) {
+        let p = parse_program(program).unwrap();
+        let args = (1..=p.params().len() as u32)
+            .map(|i| Value::State(Counted(i)))
+            .collect();
+        CLONES.with(|n| n.set(0));
+        let out = run_program(&CountingAlg, &p, args).unwrap();
+        (out.0, CLONES.with(|n| n.get()))
+    }
+
+    #[test]
+    fn variables_are_borrowed_not_cloned() {
+        // HLU `modify` (Definition 3.1.2): `s0` twice, `s1` four times.
+        let modify = "(lambda (s0 s1 s2) (combine (assert (mask (assert (mask (assert s0 s1) \
+                      (genmask s1)) (complement s1)) (genmask s2)) s2) (assert s0 (complement s1))))";
+        // A `where` nested in both branches of a `where` (Definition
+        // 3.2.3): `s0` four times.
+        let nested_where = "(lambda (s0 s1 s2 s3 s4 s5) (combine \
+            (combine (assert (mask (assert (assert s0 s1) s2) (genmask s3)) s3) \
+                     (assert (assert s0 s1) (complement s2))) \
+            (combine (assert (mask (assert (assert s0 (complement s1)) s4) (genmask s5)) s5) \
+                     (assert (assert s0 (complement s1)) (complement s4)))))";
+        for program in [modify, nested_where] {
+            assert_eq!(clones_of(program).1, 0, "{program}");
+        }
+    }
+
+    #[test]
+    fn a_bare_variable_body_clones_once() {
+        assert_eq!(clones_of("(lambda (s0) s0)"), (1, 1));
     }
 
     #[test]

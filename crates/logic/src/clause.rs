@@ -1,11 +1,17 @@
 //! Clauses (`CF[L]`, §1.1): disjunctions of literals.
 //!
-//! A clause is stored as a sorted, duplicate-free slice of literals. The
-//! paper's *length* of a clause is the number of distinct literals in it
-//! ([`Clause::len`]); `□`/`0` is the empty clause and a clause containing a
-//! complementary pair is tautologous (the paper's `1`).
+//! A clause is stored as a sorted, duplicate-free slice of literals that
+//! is shared and immutable: a clone bumps a reference count and copies no
+//! literals, so cloning a clause set (a BLU state) copies no clause. Each
+//! constructor builds its slice with one allocation. Order, equality and
+//! hashing are by content. The paper's *length* of a clause is the number
+//! of distinct literals in it ([`Clause::len`]); `□`/`0` is the empty
+//! clause and a clause containing a complementary pair is tautologous (the
+//! paper's `1`).
 
 use std::fmt;
+use std::iter::Peekable;
+use std::sync::Arc;
 
 use pwdb_metrics::counter;
 
@@ -16,8 +22,12 @@ use crate::truth::Assignment;
 /// A clause: a finite disjunction of distinct literals.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Clause {
-    lits: Box<[Literal]>,
+    lits: Arc<[Literal]>,
 }
+
+/// Clauses up to this length are assembled on the stack, so building one
+/// allocates only its shared slice.
+const INLINE: usize = 32;
 
 impl Clause {
     /// Builds a clause from literals, sorting and deduplicating.
@@ -30,19 +40,53 @@ impl Clause {
         lits.sort_unstable();
         lits.dedup();
         Clause {
-            lits: lits.into_boxed_slice(),
+            lits: Arc::from(lits),
         }
+    }
+
+    /// Builds from literals that are already sorted and duplicate-free,
+    /// at most `bound` of them.
+    fn from_sorted(bound: usize, lits: impl Iterator<Item = Literal>) -> Self {
+        let lits = if bound <= INLINE {
+            let mut buf = [Literal::pos(AtomId(0)); INLINE];
+            let mut n = 0;
+            for l in lits {
+                buf[n] = l;
+                n += 1;
+            }
+            Arc::from(&buf[..n])
+        } else {
+            Arc::from(lits.collect::<Vec<_>>())
+        };
+        Clause { lits }
+    }
+
+    /// The sorted union of two sorted, duplicate-free literal sequences.
+    fn union(
+        bound: usize,
+        a: impl Iterator<Item = Literal>,
+        b: impl Iterator<Item = Literal>,
+    ) -> Self {
+        Self::from_sorted(
+            bound,
+            Union {
+                a: a.peekable(),
+                b: b.peekable(),
+            },
+        )
     }
 
     /// The empty clause `□` (the paper's `0`), satisfied by no structure.
     pub fn empty() -> Self {
-        Clause { lits: Box::new([]) }
+        Clause {
+            lits: Arc::from([]),
+        }
     }
 
     /// A unit clause.
     pub fn unit(lit: Literal) -> Self {
         Clause {
-            lits: Box::new([lit]),
+            lits: Arc::from([lit]),
         }
     }
 
@@ -109,44 +153,44 @@ impl Clause {
     /// `self ∨ other`, deduplicated — the elementwise operation of the
     /// paper's `combine` algorithm (2.3.3).
     pub fn disjoin(&self, other: &Clause) -> Clause {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.lits.len() && j < other.lits.len() {
-            match self.lits[i].cmp(&other.lits[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.lits[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.lits[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.lits[i]);
-                    i += 1;
-                    j += 1;
-                }
+        Self::union(
+            self.len() + other.len(),
+            self.lits.iter().copied(),
+            other.lits.iter().copied(),
+        )
+    }
+
+    /// `self ∨ lit`: `disjoin` with a unit clause, without building the
+    /// unit. A clause that already holds `lit` is returned shared.
+    pub fn with(&self, lit: Literal) -> Clause {
+        match self.lits.binary_search(&lit) {
+            Ok(_) => self.clone(),
+            Err(i) => {
+                let (below, above) = self.lits.split_at(i);
+                let lits = below
+                    .iter()
+                    .copied()
+                    .chain([lit])
+                    .chain(above.iter().copied());
+                Self::from_sorted(self.len() + 1, lits)
             }
         }
-        out.extend_from_slice(&self.lits[i..]);
-        out.extend_from_slice(&other.lits[j..]);
-        Clause {
-            lits: out.into_boxed_slice(),
-        }
+    }
+
+    /// The resolvent on `pos`'s atom: `(self ∖ {pos}) ∨ (other ∖ {¬pos})`.
+    pub(crate) fn resolve(&self, other: &Clause, pos: Literal) -> Clause {
+        let neg = pos.negated();
+        Self::union(
+            self.len() + other.len(),
+            self.lits.iter().copied().filter(|&l| l != pos),
+            other.lits.iter().copied().filter(|&l| l != neg),
+        )
     }
 
     /// Returns the clause with every occurrence of `lit` removed (used by
     /// unit resolution, Algorithm 2.3.8).
     pub fn without(&self, lit: Literal) -> Clause {
-        Clause {
-            lits: self
-                .lits
-                .iter()
-                .copied()
-                .filter(|&l| l != lit)
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
+        Self::from_sorted(self.len(), self.lits.iter().copied().filter(|&l| l != lit))
     }
 
     /// Whether every literal of `self` occurs in `other` (subsumption).
@@ -167,6 +211,32 @@ impl Clause {
         ClauseDisplay {
             clause: self,
             atoms: Some(atoms),
+        }
+    }
+}
+
+/// The merge behind [`Clause::disjoin`] and [`Clause::resolve`]: yields each literal of either sorted input once,
+/// in order.
+struct Union<A: Iterator<Item = Literal>, B: Iterator<Item = Literal>> {
+    a: Peekable<A>,
+    b: Peekable<B>,
+}
+
+impl<A: Iterator<Item = Literal>, B: Iterator<Item = Literal>> Iterator for Union<A, B> {
+    type Item = Literal;
+
+    fn next(&mut self) -> Option<Literal> {
+        match (self.a.peek(), self.b.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                std::cmp::Ordering::Less => self.a.next(),
+                std::cmp::Ordering::Greater => self.b.next(),
+                std::cmp::Ordering::Equal => {
+                    self.b.next();
+                    self.a.next()
+                }
+            },
+            (Some(_), None) => self.a.next(),
+            (None, _) => self.b.next(),
         }
     }
 }
@@ -305,6 +375,48 @@ mod tests {
         assert_eq!(Clause::empty().to_string(), "[]");
         let c = Clause::new(vec![lp(0), ln(1)]);
         assert_eq!(c.to_string(), "A1 | !A2");
+    }
+
+    #[test]
+    fn clone_shares_the_literals() {
+        let c = Clause::new(vec![lp(0), ln(1), lp(3)]);
+        let copy = c.clone();
+        assert_eq!(copy.literals().as_ptr(), c.literals().as_ptr());
+    }
+
+    #[test]
+    fn constructors_equal_new_of_the_same_literals() {
+        let a = Clause::new(vec![lp(0), ln(2), lp(4)]);
+        let b = Clause::new(vec![ln(1), ln(2), lp(5)]);
+        assert_eq!(Clause::empty(), Clause::new(vec![]));
+        assert_eq!(Clause::unit(ln(3)), Clause::new(vec![ln(3)]));
+        assert_eq!(
+            a.disjoin(&b),
+            Clause::new(vec![lp(0), ln(1), ln(2), lp(4), lp(5)])
+        );
+        assert_eq!(a.with(lp(3)), Clause::new(vec![lp(0), ln(2), lp(3), lp(4)]));
+        assert_eq!(a.with(ln(2)).literals().as_ptr(), a.literals().as_ptr());
+        assert_eq!(a.without(ln(2)), Clause::new(vec![lp(0), lp(4)]));
+        // The resolvent keeps a literal both sides share once.
+        let p = Clause::new(vec![lp(1), ln(2), lp(4)]);
+        assert_eq!(p.resolve(&b, lp(1)), Clause::new(vec![ln(2), lp(4), lp(5)]));
+    }
+
+    #[test]
+    fn constructors_past_the_inline_length_agree_with_new() {
+        let evens: Vec<Literal> = (0..40).map(|i| lp(2 * i)).collect();
+        let odds: Vec<Literal> = (0..40).map(|i| ln(2 * i + 1)).collect();
+        let a = Clause::new(evens.clone());
+        let b = Clause::new(odds.clone());
+        let all = Clause::new([evens.clone(), odds].concat());
+        assert_eq!(a.disjoin(&b), all);
+        assert_eq!(
+            all.without(lp(0)),
+            Clause::new(evens[1..].to_vec()).disjoin(&b)
+        );
+        assert_eq!(a.with(lp(1)), Clause::new([evens, vec![lp(1)]].concat()));
+        let c = Clause::new([b.literals(), &[ln(0)]].concat());
+        assert_eq!(a.resolve(&c, lp(0)), a.without(lp(0)).disjoin(&b));
     }
 
     #[test]

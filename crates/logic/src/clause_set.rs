@@ -43,6 +43,15 @@ impl ClauseSet {
         s
     }
 
+    /// Builds from an iterator of clauses without the tautology filter, in
+    /// one bulk build: the clauses are sorted once rather than inserted one
+    /// at a time.
+    pub fn from_clauses_raw(clauses: impl IntoIterator<Item = Clause>) -> Self {
+        ClauseSet {
+            clauses: clauses.into_iter().collect(),
+        }
+    }
+
     /// Inserts a clause unless it is tautologous (a model-preserving
     /// normalization the paper explicitly allows; cf. §4 "correctness-
     /// preserving optimizations"). Returns whether the set changed.
@@ -345,6 +354,34 @@ mod tests {
         s.reduce_subsumed();
         assert_eq!(s.len(), 1);
         assert!(s.has_empty_clause());
+    }
+
+    #[test]
+    fn clone_shares_every_clause() {
+        let s = ClauseSet::from_clauses([
+            Clause::unit(lp(0)),
+            Clause::new(vec![lp(1), ln(2)]),
+            Clause::new(vec![ln(0), lp(2), lp(3)]),
+        ]);
+        let copy = s.clone();
+        assert_eq!(copy, s);
+        for (c, original) in copy.iter().zip(s.iter()) {
+            assert_eq!(c.literals().as_ptr(), original.literals().as_ptr());
+        }
+    }
+
+    #[test]
+    fn from_clauses_raw_keeps_tautologies_and_merges_duplicates() {
+        let taut = Clause::new(vec![lp(0), ln(0)]);
+        let s = ClauseSet::from_clauses_raw([
+            Clause::unit(lp(2)),
+            taut.clone(),
+            Clause::unit(lp(2)),
+            Clause::empty(),
+        ]);
+        assert_eq!(s.len(), 3);
+        assert!(s.contains(&taut) && s.has_empty_clause());
+        assert!(!ClauseSet::from_clauses_raw([taut]).has_empty_clause());
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   mirrored by [`AtomTable`], which interns human-readable names.
 //! * [`Literal`] packs an atom id and a sign into one `u32`, so clauses are
 //!   flat sorted integer slices with fast set operations.
-//! * [`Clause`] is a sorted, duplicate-free set of literals; the empty
-//!   clause `□` (paper's `0`) is `Clause::empty()`, and tautological
-//!   clauses (paper's `1`) are representable and detectable.
+//! * [`Clause`] is a sorted, duplicate-free set of literals, shared and
+//!   immutable: a clone copies no literals, so a cloned [`ClauseSet`]
+//!   shares every clause with its original. The empty clause `□`
+//!   (paper's `0`) is `Clause::empty()`, and tautological clauses
+//!   (paper's `1`) are representable and detectable.
 //! * [`ClauseSet`] is an ordered set of clauses with a canonical form, the
 //!   concrete domain of the paper's clausal implementation **BLU-C**.
 //! * [`Wff`] is the AST of well-formed formulas over `∧ ∨ ¬ ⇒ ⇔` plus the

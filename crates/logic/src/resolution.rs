@@ -26,11 +26,8 @@ pub fn resolvent(c1: &Clause, c2: &Clause, atom: AtomId) -> Option<Clause> {
     if !c1.contains(pos) || !c2.contains(neg) {
         return None;
     }
-    let mut lits: Vec<Literal> = Vec::with_capacity(c1.len() + c2.len() - 2);
-    lits.extend(c1.literals().iter().copied().filter(|&l| l != pos));
-    lits.extend(c2.literals().iter().copied().filter(|&l| l != neg));
     counter!("logic.resolution.resolvents").inc();
-    Some(Clause::new(lits))
+    Some(c1.resolve(c2, pos))
 }
 
 /// Closes `set` under resolution on the single atom `atom`: the inner loop

@@ -126,11 +126,7 @@ impl MinimalSet {
 
     /// The members as a [`ClauseSet`], tautologies included.
     pub fn into_set(self) -> ClauseSet {
-        let mut out = ClauseSet::new();
-        for (c, _) in self.members {
-            out.insert_raw(c);
-        }
-        out
+        ClauseSet::from_clauses_raw(self.members.into_iter().map(|(c, _)| c))
     }
 
     fn charge_scan(&self) {
