@@ -27,6 +27,10 @@
 //!   letter without re-cloning and re-reducing the whole state for each
 //!   one.
 //!
+//! `genmask` keeps no state: both engines compute it from its parameter
+//! on every call. Its input is the statement's (small) parameter, never
+//! the state (§4), so recomputing costs less than looking it up.
+//!
 //! Complexity (Theorems 2.3.4(b), 2.3.6(b), 2.3.9(b)) — reproduced by the
 //! `pwdb-bench` experiments E1–E5:
 //!
@@ -40,9 +44,7 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
-use pwdb_logic::cache::MemoCache;
 use pwdb_logic::governor;
 use pwdb_logic::resolution::{drop_atoms, rclosure_on_atom, resolvent};
 use pwdb_logic::subsumption::MinimalSet;
@@ -51,22 +53,6 @@ use pwdb_metrics::counter;
 use pwdb_trace::span;
 
 use crate::eval::BluSemantics;
-
-/// The genmask memo: keyed on (strategy, input set), since the two
-/// strategies decide the same set but the key must not conflate them
-/// while one is being validated against the other. Pure — genmask is a
-/// function of the state — bounded, and bypassed under the naive engine.
-type GenmaskMemo = MemoCache<(u8, ClauseSet), BTreeSet<AtomId>>;
-
-fn genmask_cache() -> &'static GenmaskMemo {
-    static CACHE: OnceLock<&'static GenmaskMemo> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        static INNER: OnceLock<GenmaskMemo> = OnceLock::new();
-        INNER
-            .get_or_init(|| MemoCache::new("blu.cache.genmask", 1024))
-            .register()
-    })
-}
 
 /// Which algorithm `genmask` uses for the (NP-complete) dependence test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -515,11 +501,10 @@ impl BluSemantics for BluClausal {
             "props" => x.props().len(),
             "cost" => 1u64.checked_shl(x.props().len() as u32).unwrap_or(u64::MAX),
         );
-        let key = (self.genmask_strategy as u8, x.clone());
-        let out = genmask_cache().get_or_insert_with(key, || match self.genmask_strategy {
+        let out = match self.genmask_strategy {
             GenmaskStrategy::PaperExhaustive => Self::genmask_paper(x),
             GenmaskStrategy::SatBased => Self::genmask_sat(x),
-        });
+        };
         sp.attr("mask_size", out.len());
         out
     }

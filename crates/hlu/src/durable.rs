@@ -265,7 +265,12 @@ impl DurableDatabase {
 
     /// Mutable access to the name table for *parsing*: new names interned
     /// here become durable (as WAL `A` records) the next time a statement
-    /// commits or a checkpoint is taken.
+    /// commits or a checkpoint is taken. A name the log refuses (one
+    /// outside `[A-Za-z_][A-Za-z0-9_']*`, or over the record size cap) is
+    /// dropped from the table by the commit that refuses it, together
+    /// with every name interned after it: ids are dense, so the later
+    /// atoms cannot be logged without it. Ids handed out for the dropped
+    /// names are then stale.
     pub fn atoms_mut(&mut self) -> &mut AtomTable {
         &mut self.atoms
     }
@@ -389,7 +394,9 @@ impl DurableDatabase {
     /// *buffered*; `persisted_atoms` advances optimistically and the
     /// caller must restore it if the enclosing commit fails (the store
     /// discards pending records on failure, so the atoms were never made
-    /// durable).
+    /// durable). A refused record drops its atom and every later one from
+    /// the table (see [`DurableDatabase::atoms_mut`]); otherwise every
+    /// later commit would retry the record and fail.
     fn log_new_atoms(&mut self) -> Result<(), DurableError> {
         for i in self.persisted_atoms..self.atoms.len() {
             let name = self
@@ -397,13 +404,21 @@ impl DurableDatabase {
                 .name(AtomId(i as u32))
                 .expect("dense ids")
                 .to_owned();
-            if !is_parseable_name(&name) {
-                return Err(DurableError::Corrupt(format!(
+            let refused = if !is_parseable_name(&name) {
+                DurableError::Corrupt(format!(
                     "atom name {name:?} cannot be stored: the WAL's textual \
                      statement encoding requires [A-Za-z_][A-Za-z0-9_']*"
-                )));
-            }
-            self.store.append(&Record::Atom(name))?;
+                ))
+            } else {
+                match self.store.append(&Record::Atom(name)) {
+                    Ok(()) => continue,
+                    Err(e @ StoreError::ReadOnly { .. }) => return Err(e.into()),
+                    // The only other refusal: a name over the record cap.
+                    Err(e) => e.into(),
+                }
+            };
+            self.atoms.truncate(i);
+            return Err(refused);
         }
         self.persisted_atoms = self.atoms.len();
         Ok(())
@@ -612,13 +627,29 @@ mod tests {
 
     #[test]
     fn unstorable_atom_names_are_refused() {
-        let dir = TestDir::new("durable-badname");
-        let mut db = ClausalDatabase::open(dir.path()).unwrap();
-        db.atoms_mut().intern("not a name");
-        let err = db
-            .run(&HluProgram::Insert(pwdb_logic::Wff::atom(0)))
-            .unwrap_err();
-        assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
+        let oversized = "a".repeat(pwdb_store::frame::MAX_PAYLOAD as usize + 1);
+        for (case, bad) in [("badname", "not a name"), ("hugename", &oversized)] {
+            let dir = TestDir::new(&format!("durable-{case}"));
+            {
+                let mut db = ClausalDatabase::open(dir.path()).unwrap();
+                db.atoms_mut().intern(bad);
+                let err = db
+                    .run(&HluProgram::Insert(pwdb_logic::Wff::atom(0)))
+                    .unwrap_err();
+                match case {
+                    "badname" => assert!(matches!(err, DurableError::Corrupt(_)), "{err}"),
+                    _ => assert!(matches!(err, DurableError::Io(_)), "{err}"),
+                }
+                // The refused name is gone, so the store is not wedged.
+                run_text(&mut db, "(insert {snow})");
+                db.checkpoint().unwrap();
+                assert!(!db.is_degraded());
+            }
+            let mut db = ClausalDatabase::open(dir.path()).unwrap();
+            let snow = parse_wff("snow", db.atoms_mut()).unwrap();
+            assert!(db.is_certain(&snow), "{case}");
+            assert!(db.atoms().iter().all(|(_, n)| n != bad), "{case}");
+        }
     }
 
     #[test]

@@ -91,6 +91,16 @@ impl AtomTable {
         self.names.get(id.index()).map(String::as_str)
     }
 
+    /// Drops every atom whose id is `len` or above. Ids are dense, so
+    /// only a suffix of the table can go.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.names.len() {
+            for name in self.names.drain(len..) {
+                self.by_name.remove(&name);
+            }
+        }
+    }
+
     /// Number of interned atoms.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -121,6 +131,20 @@ mod tests {
         let b = t.intern("A1");
         assert_eq!(a, b);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn truncate_forgets_the_suffix() {
+        let mut t = AtomTable::new();
+        t.intern("a");
+        t.intern("b");
+        t.intern("c");
+        t.truncate(1);
+        assert_eq!(t.len(), 1);
+        assert!(t.lookup("b").is_err());
+        assert_eq!(t.intern("c"), AtomId(1));
+        t.truncate(5);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! (`tests/index_differential.rs`):
 //!
 //! * [`EngineMode::Naive`] — the paper-direct O(n²) pairwise algorithms,
-//!   preserved verbatim in [`crate::reference`]; the genmask memo is
-//!   bypassed, so this mode reproduces the algorithms as written exactly.
+//!   preserved verbatim in [`crate::reference`], so this mode reproduces
+//!   the algorithms as written exactly.
 //! * [`EngineMode::Indexed`] — the default: sweeps over a flat
 //!   subsumption-minimal list whose probes a per-clause signature word
-//!   filters ([`crate::subsumption::MinimalSet`]), Tison's method for
-//!   both resolution closures, and a genmask memo keyed on whole inputs
-//!   ([`crate::cache`]).
+//!   filters ([`crate::subsumption::MinimalSet`]) and Tison's method for
+//!   both resolution closures.
 //!
 //! The mode is a process-wide atomic so a whole stack (BLU, HLU, wilkins,
 //! benches) can be flipped without threading a parameter through every
@@ -25,12 +24,11 @@ use std::sync::Mutex;
 /// Which clausal engine the dispatching entry points use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// The paper-direct pairwise algorithms ([`crate::reference`]), with
-    /// the genmask memo bypassed.
+    /// The paper-direct pairwise algorithms ([`crate::reference`]).
     Naive,
-    /// Signature-filtered subsumption-minimal sweeps, Tison's method and
-    /// memoization. The name stays because the report keys in
-    /// `BENCH_index.json` use it.
+    /// Signature-filtered subsumption-minimal sweeps and Tison's method.
+    /// The name stays because the report keys in `BENCH_index.json` use
+    /// it.
     #[default]
     Indexed,
 }

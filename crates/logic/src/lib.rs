@@ -57,7 +57,6 @@ pub mod truth;
 pub mod wff;
 
 pub use atom::{AtomId, AtomTable};
-pub use cache::{CacheStats, MemoCache};
 pub use clause::Clause;
 pub use clause_set::ClauseSet;
 pub use cnf::{clauses_to_wff, cnf_of};

@@ -9,11 +9,14 @@
 //! `complement` product per disjunction formed, one fsync per
 //! durable commit, one snapshot write per checkpoint, a replay count
 //! equal to the log suffix recovery re-applied, and one degraded-mode
-//! entry per outage.
+//! entry per outage. `genmask` keeps no state: a repeated call on one
+//! input does the same work and charges the same steps as the first.
 
-use pwdb::blu::BluClausal;
+use pwdb::blu::{BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, GovernedError, HluProgram, InstanceDatabase};
-use pwdb::logic::{parse_clause_set, AtomTable, Budget, ExecError, Limits, Rng, Wff};
+use pwdb::logic::{
+    govern, governor, parse_clause_set, AtomTable, Budget, ExecError, Limits, Rng, Wff,
+};
 use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
 use pwdb_suite::testgen;
 
@@ -81,6 +84,27 @@ fn counters_match_the_work_done() {
     ] {
         assert_eq!(calls(timer), STATEMENTS as u64, "{timer}");
         assert_eq!(spans(span), STATEMENTS as u64, "{span}");
+    }
+
+    // `genmask` is computed from its parameter on every call: a repeat
+    // charges the same steps and does the same work as the first call.
+    let mut atoms = AtomTable::with_indexed_atoms(4);
+    let param = parse_clause_set("{A1 | A2, !A2 | A3, A4 | !A1}", &mut atoms).unwrap();
+    for (strategy, work) in [
+        (GenmaskStrategy::PaperExhaustive, "blu.genmask.assignments"),
+        (GenmaskStrategy::SatBased, "logic.dpll.solves"),
+    ] {
+        let alg = BluClausal::new().with_genmask(strategy);
+        let calls: Vec<_> = (0..2)
+            .map(|_| {
+                let (done, mask) = delta(work, || {
+                    govern(&Limits::unlimited(), || alg.op_genmask(&param)).unwrap()
+                });
+                (governor::last_spent(), done, mask)
+            })
+            .collect();
+        assert!(calls[0].0 > 0 && calls[0].1 > 0, "{strategy:?}: {calls:?}");
+        assert_eq!(calls[0], calls[1], "{strategy:?}");
     }
 
     // Every query is answered either from the per-state memo (one

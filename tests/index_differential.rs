@@ -2,11 +2,10 @@
 //! identical to the naive reference engine.
 //!
 //! Every test runs the same seeded computation twice — once under
-//! `EngineMode::Naive` (full-set scans, round-based closures, the genmask
-//! memo bypassed) and once under `EngineMode::Indexed` (signature-filtered
-//! flat scans over a subsumption-minimal list, Tison's method for both
-//! closures, the genmask memo keyed on whole inputs, the factored
-//! `combine` and the one-list `mask`) — and asserts bit-identical
+//! `EngineMode::Naive` (full-set scans, round-based closures) and once
+//! under `EngineMode::Indexed` (signature-filtered flat scans over a
+//! subsumption-minimal list, Tison's method for both closures, the
+//! factored `combine` and the one-list `mask`) — and asserts bit-identical
 //! results. Together the suites replay well over 200 seeded programs:
 //! raw engine operations, all five BLU-C primitives under the reduced
 //! algebra, full HLU scripts checked against the possible-worlds backend,
