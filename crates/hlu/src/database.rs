@@ -50,13 +50,9 @@ pub trait HluBackend: BluSemantics {
     /// Whether the state has at least one possible world.
     fn consistent(&self, state: &Self::State) -> bool;
     /// Number of possible worlds of the state over a universe of
-    /// `n_atoms` atoms. Panics when the count does not fit a `u64`
-    /// (an unconstrained 64-atom universe); [`HluBackend::try_world_count`]
-    /// is the checked form.
-    fn world_count(&self, state: &Self::State, n_atoms: usize) -> u64;
-    /// Checked world count: `u128` so the full `2^64` of an empty
-    /// 64-atom state is representable, `TooManyAtoms` past the packed-
-    /// assignment limit instead of a panic.
+    /// `n_atoms` atoms: `u128` so the full `2^64` of an empty 64-atom
+    /// state is representable, `TooManyAtoms` past the packed-assignment
+    /// limit instead of a panic.
     fn try_world_count(&self, state: &Self::State, n_atoms: usize) -> Result<u128, LogicError>;
     /// The state as a clause set, when the backend keeps it as one. Only
     /// such a state gets the database's per-state query memo.
@@ -84,10 +80,6 @@ impl HluBackend for BluClausal {
 
     fn consistent(&self, state: &ClauseSet) -> bool {
         pwdb_logic::is_satisfiable(state)
-    }
-
-    fn world_count(&self, state: &ClauseSet, n_atoms: usize) -> u64 {
-        pwdb_logic::count_models(state, n_atoms)
     }
 
     fn try_world_count(&self, state: &ClauseSet, n_atoms: usize) -> Result<u128, LogicError> {
@@ -118,11 +110,6 @@ impl HluBackend for BluInstance {
 
     fn consistent(&self, state: &WorldSet) -> bool {
         !state.is_empty()
-    }
-
-    fn world_count(&self, state: &WorldSet, n_atoms: usize) -> u64 {
-        assert_eq!(n_atoms, state.n_atoms(), "universe mismatch");
-        state.len() as u64
     }
 
     fn try_world_count(&self, state: &WorldSet, n_atoms: usize) -> Result<u128, LogicError> {
@@ -422,14 +409,9 @@ impl<B: HluBackend> Database<B> {
 
     /// The number of possible worlds over a universe of `n_atoms` atoms —
     /// the "amount of incompleteness" left in the database. Exact #SAT on
-    /// the clausal backend; a popcount on the instance backend.
-    pub fn world_count(&self, n_atoms: usize) -> u64 {
-        self.backend.world_count(&self.state, n_atoms)
-    }
-
-    /// Checked [`Database::world_count`]: `u128`, and a typed
-    /// [`LogicError::TooManyAtoms`] past the 64-atom packed-assignment
-    /// limit instead of a panic.
+    /// the clausal backend; a popcount on the instance backend. A `u128`,
+    /// and a typed [`LogicError::TooManyAtoms`] past the 64-atom
+    /// packed-assignment limit instead of a panic.
     pub fn try_world_count(&self, n_atoms: usize) -> Result<u128, LogicError> {
         self.backend.try_world_count(&self.state, n_atoms)
     }
@@ -967,9 +949,9 @@ mod tests {
         for p in &script {
             cdb.run(p);
             idb.run(p);
-            assert_eq!(cdb.world_count(3), idb.world_count(3));
+            assert_eq!(cdb.try_world_count(3), idb.try_world_count(3));
         }
-        assert!(cdb.world_count(3) > 0);
+        assert!(cdb.try_world_count(3).unwrap() > 0);
     }
 
     #[test]
@@ -995,9 +977,9 @@ mod tests {
     #[test]
     fn world_count_of_fresh_database_is_full() {
         let db = ClausalDatabase::new();
-        assert_eq!(db.world_count(5), 32);
+        assert_eq!(db.try_world_count(5), Ok(32));
         let idb = InstanceDatabase::with_atoms(4);
-        assert_eq!(idb.world_count(4), 16);
+        assert_eq!(idb.try_world_count(4), Ok(16));
     }
 
     #[test]

@@ -485,12 +485,7 @@ impl std::ops::Deref for DurableDatabase {
 /// Whether `name` lexes as a single atom name in the wff/HLU grammars
 /// (so `display → parse` reproduces it exactly).
 fn is_parseable_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    let Some(first) = chars.next() else {
-        return false;
-    };
-    (first.is_ascii_alphabetic() || first == '_')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '\'')
+    !name.is_empty() && pwdb_logic::atom_name_len(name.as_bytes()) == name.len()
 }
 
 /// All atoms a program mentions (parameters of both sorts).

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use pwdb_logic::{parse_wff, AtomId, AtomTable, LogicError, Result, Wff};
+use pwdb_logic::{atom_name_len, parse_wff, AtomId, AtomTable, LogicError, Result, Wff};
 
 use crate::ast::HluProgram;
 
@@ -59,13 +59,7 @@ impl<'a> Parser<'a> {
     fn name(&mut self) -> Result<String> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .input
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'\'')
-        {
-            self.pos += 1;
-        }
+        self.pos += atom_name_len(&self.input[start..]);
         if start == self.pos {
             return Err(self.err("expected a name"));
         }
@@ -372,5 +366,29 @@ mod tests {
             LogicError::Parse { offset, .. } => assert!(offset >= 9, "offset {offset}"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn mask_names_follow_the_wff_name_grammar() {
+        // A mask accepts exactly the names a formula does, so every
+        // interned name can be stored and parsed back.
+        let mut t = AtomTable::new();
+        for src in ["(clear [9])", "(clear ['a])", "(clear [A1 2b])"] {
+            let at = src.find(['9', '\'', '2']).unwrap();
+            assert_eq!(
+                parse_hlu(src, &mut t),
+                Err(LogicError::Parse {
+                    offset: at,
+                    message: "expected a name".into()
+                }),
+                "{src}"
+            );
+            assert!(parse_wff(&src[at..at + 2], &mut t).is_err(), "{src}");
+        }
+        assert!(t.lookup("9").is_err() && t.lookup("'a").is_err());
+        assert_eq!(
+            parse_hlu("(clear [_a a' b_1])", &mut t).unwrap(),
+            HluProgram::Clear(BTreeSet::from([AtomId(1), AtomId(2), AtomId(3)]))
+        );
     }
 }

@@ -3,44 +3,23 @@
 //! The size of an incomplete-information database *is* its number of
 //! possible worlds (`|Mod[Φ]|` over the schema universe). The instance
 //! representation reads it off a popcount; the clausal representation
-//! needs a model counter. This is a classic DPLL-style counter with unit
-//! propagation and free-atom multiplication — exponential in the worst
-//! case (counting is #P-complete), but exact, and fast on the clause
-//! sets these databases hold.
+//! counts on the DPLL [`Solver`] — exponential in the worst case
+//! (counting is #P-complete), but exact, and fast on the clause sets
+//! these databases hold.
 
-use pwdb_metrics::counter;
-
-use crate::atom::AtomId;
 use crate::clause_set::ClauseSet;
+use crate::dpll::Solver;
 use crate::error::LogicError;
-use crate::literal::Literal;
 use crate::truth::MAX_ATOMS;
 
-/// Counts the models of `set` over the universe of atoms `0..n_atoms`.
-///
-/// Atoms beyond the set's own letters contribute a factor of two each.
-/// Panics if `n_atoms` is smaller than the set's atom bound or exceeds
-/// [`MAX_ATOMS`], or if the count exceeds `u64::MAX` (only possible for
-/// the empty constraint set at exactly 64 atoms, whose 2^64 worlds do
-/// not fit a `u64`). Use [`try_count_models`] for the checked form that
-/// fires [`LogicError::TooManyAtoms`] instead.
-pub fn count_models(set: &ClauseSet, n_atoms: usize) -> u64 {
-    assert!(
-        n_atoms >= set.atom_bound(),
-        "universe smaller than the clause set's atoms"
-    );
-    let n = try_count_models(set, n_atoms).expect("count_models universe within MAX_ATOMS");
-    u64::try_from(n).expect("model count exceeds u64 (2^64 worlds); use try_count_models")
-}
-
-/// Checked model count over `0..n_atoms`, as a `u128` so that the full
-/// `2^64` world count of an unconstrained 64-atom universe is exactly
-/// representable (the unchecked [`count_models`] silently truncated it
-/// before this entry point existed).
+/// Model count of `set` over the universe of atoms `0..n_atoms`, as a
+/// `u128` so that the full `2^64` world count of an unconstrained
+/// 64-atom universe is exactly representable. Atoms beyond the set's
+/// own letters contribute a factor of two each.
 ///
 /// Returns [`LogicError::TooManyAtoms`] when `n_atoms` exceeds
-/// [`MAX_ATOMS`], and still panics if `n_atoms` is smaller than the
-/// set's own atom bound (caller bug, not input-dependent).
+/// [`MAX_ATOMS`], and panics if `n_atoms` is smaller than the set's own
+/// atom bound (caller bug, not input-dependent).
 pub fn try_count_models(set: &ClauseSet, n_atoms: usize) -> crate::error::Result<u128> {
     if n_atoms > MAX_ATOMS {
         return Err(LogicError::TooManyAtoms {
@@ -52,131 +31,23 @@ pub fn try_count_models(set: &ClauseSet, n_atoms: usize) -> crate::error::Result
         n_atoms >= set.atom_bound(),
         "universe smaller than the clause set's atoms"
     );
-    let clauses: Vec<Vec<Literal>> = set
-        .iter()
-        .filter(|c| !c.is_tautology())
-        .map(|c| c.literals().to_vec())
-        .collect();
-    if clauses.iter().any(Vec::is_empty) {
-        return Ok(0);
-    }
-    let mut values: Vec<Option<bool>> = vec![None; n_atoms];
-    Ok(count(&clauses, &mut values))
-}
-
-/// Recursive counter: returns the number of total extensions of the
-/// current partial assignment satisfying all clauses.
-fn count(clauses: &[Vec<Literal>], values: &mut Vec<Option<bool>>) -> u128 {
-    counter!("logic.counting.recursive_calls").inc();
-    crate::governor::step_n(clauses.len() as u64 + 1);
-    // Unit propagation; propagated atoms are recorded for backtracking.
-    let mut trail: Vec<usize> = Vec::new();
-    loop {
-        let mut unit: Option<Literal> = None;
-        for clause in clauses {
-            let mut open = None;
-            let mut open_count = 0;
-            let mut satisfied = false;
-            for &lit in clause {
-                match values[lit.atom().index()] {
-                    Some(v) if v == lit.is_positive() => {
-                        satisfied = true;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        open = Some(lit);
-                        open_count += 1;
-                    }
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            match open_count {
-                0 => {
-                    // Conflict: zero models under this branch.
-                    for i in trail {
-                        values[i] = None;
-                    }
-                    return 0;
-                }
-                1 => {
-                    unit = open;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        match unit {
-            Some(lit) => {
-                values[lit.atom().index()] = Some(lit.is_positive());
-                trail.push(lit.atom().index());
-            }
-            None => break,
-        }
-    }
-
-    // Find a branching atom among open clauses.
-    let mut branch: Option<AtomId> = None;
-    let mut any_open = false;
-    'outer: for clause in clauses {
-        let mut satisfied = false;
-        let mut first_open = None;
-        for &lit in clause {
-            match values[lit.atom().index()] {
-                Some(v) if v == lit.is_positive() => {
-                    satisfied = true;
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    if first_open.is_none() {
-                        first_open = Some(lit.atom());
-                    }
-                }
-            }
-        }
-        if !satisfied {
-            any_open = true;
-            branch = first_open;
-            break 'outer;
-        }
-    }
-
-    let result = if !any_open {
-        // All clauses satisfied: the unassigned atoms are free. The
-        // shift is in u128: at `free == 64` (empty set over the full
-        // 64-atom universe) `1u64 << 64` would wrap to 1 in release
-        // builds — the silent-truncation bug this widening fixes.
-        let free = values.iter().filter(|v| v.is_none()).count();
-        1u128 << free
-    } else {
-        let atom = branch.expect("open clause has an open literal");
-        let idx = atom.index();
-        values[idx] = Some(true);
-        let with_true = count(clauses, values);
-        values[idx] = Some(false);
-        let with_false = count(clauses, values);
-        values[idx] = None;
-        with_true + with_false
-    };
-
-    for i in trail {
-        values[i] = None;
-    }
-    result
+    Ok(Solver::new(set, n_atoms).count_models())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::AtomTable;
+    use crate::atom::{AtomId, AtomTable};
+    use crate::literal::Literal;
     use crate::parser::parse_clause_set;
     use crate::truth::Assignment;
 
-    fn brute(set: &ClauseSet, n: usize) -> u64 {
-        Assignment::enumerate(n).filter(|a| set.eval(a)).count() as u64
+    fn count_models(set: &ClauseSet, n: usize) -> u128 {
+        try_count_models(set, n).unwrap()
+    }
+
+    fn brute(set: &ClauseSet, n: usize) -> u128 {
+        Assignment::enumerate(n).filter(|a| set.eval(a)).count() as u128
     }
 
     #[test]
@@ -224,9 +95,8 @@ mod tests {
 
     #[test]
     fn implication_chain_count() {
-        // A1→A2→A3: models are monotone prefixes inverted: count = 4
-        // over 3 atoms (000, 001 is A1 only — wait, direction) —
-        // computed by brute force and pinned.
+        // A1→A2→A3 over 3 atoms: the true atoms of a model are none,
+        // {A3}, {A2, A3} or all three — checked by brute force and pinned.
         let mut t = AtomTable::with_indexed_atoms(3);
         let s = parse_clause_set("{!A1 | A2, !A2 | A3}", &mut t).unwrap();
         assert_eq!(count_models(&s, 3), brute(&s, 3));
@@ -250,18 +120,10 @@ mod tests {
                 max: 64
             })
         );
-        // One unit clause at the 64-atom edge fits u64 again.
+        // One unit clause at the 64-atom edge halves the space.
         let mut t = AtomTable::with_indexed_atoms(64);
         let s = parse_clause_set("{A64}", &mut t).unwrap();
         assert_eq!(try_count_models(&s, 64).unwrap(), 1u128 << 63);
-        assert_eq!(count_models(&s, 64), 1u64 << 63);
-        assert_eq!(count_models(&ClauseSet::new(), 63), 1u64 << 63);
-    }
-
-    #[test]
-    #[should_panic(expected = "model count exceeds u64")]
-    fn unchecked_count_panics_instead_of_truncating_at_2_pow_64() {
-        let _ = count_models(&ClauseSet::new(), 64);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! implicitly ordered set of proposition names, its well-formed formulas
 //! (`WF[L]`), structures (`Struct[L]`, truth assignments represented as
 //! bit-packed words), the language of clauses (`CF[L]`), literals
-//! (`Lit[L]`), resolution, and the standard semantic operators `Mod`, `Sat`,
-//! `Th`, and `Dep`.
+//! (`Lit[L]`) and resolution. The semantic operators `Mod`, `Sat` and
+//! `Dep` are computed over world sets in `pwdb-worlds` (`WorldSet`), and
+//! `Th` membership is [`entails`].
 //!
 //! Everything downstream — the possible-worlds substrate, the **BLU** and
 //! **HLU** update languages, and the comparison baselines — is built on the
@@ -30,9 +31,13 @@
 //! * [`Wff`] is the AST of well-formed formulas over `∧ ∨ ¬ ⇒ ⇔` plus the
 //!   constants `0`/`1`; [`parse_wff`] accepts a plain
 //!   ASCII surface syntax.
-//! * [`dpll`] provides a complete SAT solver used for entailment and
-//!   equivalence checks (the paper appeals to these freely; genmask's
-//!   dependence test is NP-complete, Theorem 2.3.9(c)).
+//! * [`dpll`] provides the layer's one search: a complete SAT solver used
+//!   for entailment and equivalence checks (the paper appeals to these
+//!   freely; genmask's dependence test is NP-complete, Theorem
+//!   2.3.9(c)), whose counting variant gives the exact model count
+//!   [`try_count_models`].
+//! * [`atom_name_len`] is the one atom-name grammar,
+//!   `[A-Za-z_][A-Za-z0-9_']*`, shared by every parser and the store.
 
 pub mod atom;
 pub mod cache;
@@ -50,7 +55,6 @@ pub mod parser;
 pub mod reference;
 pub mod resolution;
 pub mod rng;
-pub mod semantics;
 pub mod stress;
 pub mod subsumption;
 pub mod truth;
@@ -60,15 +64,14 @@ pub use atom::{AtomId, AtomTable};
 pub use clause::Clause;
 pub use clause_set::ClauseSet;
 pub use cnf::{clauses_to_wff, cnf_of};
-pub use counting::{count_models, try_count_models};
+pub use counting::try_count_models;
 pub use dpll::{entails, entails_clauses, equivalent, is_satisfiable, Solver};
 pub use engine::{engine_mode, set_engine_mode, with_engine, EngineMode};
 pub use error::{LogicError, Result};
 pub use governor::{govern, Budget, ExecError, Limits};
 pub use implicates::{is_implicate, is_prime_implicate, prime_implicates};
 pub use literal::Literal;
-pub use parser::{parse_clause, parse_clause_set, parse_wff};
+pub use parser::{atom_name_len, parse_clause, parse_clause_set, parse_wff};
 pub use rng::Rng;
-pub use semantics::{dep, models, sat, theory_contains};
 pub use truth::{Assignment, MAX_ATOMS};
 pub use wff::Wff;

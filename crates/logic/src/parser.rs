@@ -27,6 +27,24 @@ use crate::error::{LogicError, Result};
 use crate::literal::Literal;
 use crate::wff::Wff;
 
+/// Length of the atom name that starts `text`: its longest prefix in
+/// `[A-Za-z_][A-Za-z0-9_']*`, or 0 when `text` does not start with one.
+///
+/// The one atom-name grammar: the wff lexer, HLU mask parameters and the
+/// durable store's name check all use it, so every name that parses is
+/// a name that can be stored and re-parsed.
+pub fn atom_name_len(text: &[u8]) -> usize {
+    match text.first() {
+        Some(&b) if b.is_ascii_alphabetic() || b == b'_' => {
+            1 + text[1..]
+                .iter()
+                .take_while(|&&c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
+                .count()
+        }
+        _ => 0,
+    }
+}
+
 struct Lexer<'a> {
     input: &'a [u8],
     pos: usize,
@@ -147,20 +165,17 @@ impl<'a> Lexer<'a> {
                 self.pos += 1;
                 Tok::One
             }
-            b if b.is_ascii_alphabetic() || b == b'_' => {
+            other => {
                 let start = self.pos;
-                while self
-                    .peek_byte()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
-                {
-                    self.pos += 1;
+                self.pos += atom_name_len(&self.input[start..]);
+                if self.pos == start {
+                    return Err(self.err(format!("unexpected character '{}'", other as char)));
                 }
                 let name = std::str::from_utf8(&self.input[start..self.pos])
                     .expect("ascii range checked")
                     .to_owned();
                 Tok::Name(name)
             }
-            other => return Err(self.err(format!("unexpected character '{}'", other as char))),
         };
         Ok(tok)
     }
@@ -470,5 +485,19 @@ mod tests {
         assert!(parse_clause("A1 &", &mut t).is_err());
         assert!(parse_clause("| A1", &mut t).is_err());
         assert!(parse_clause_set("{A1", &mut t).is_err());
+    }
+
+    #[test]
+    fn atom_name_len_is_the_name_grammar() {
+        for (text, len) in [
+            ("A1 | A2", 2),
+            ("_x'' & y", 4),
+            ("snow_2)", 6),
+            ("9a", 0),
+            ("'a", 0),
+            ("", 0),
+        ] {
+            assert_eq!(atom_name_len(text.as_bytes()), len, "{text:?}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! `Resolvent(φ₁, φ₂, A)` is the resolvent with respect to atom `A` of the
 //! clauses `φ₁` and `φ₂`, if it exists. The paper's `rclosure` (Algorithm
 //! 2.3.5) closes a clause set under resolution on a given set of atoms;
-//! both it and full resolution closure live here, shared by the BLU-C
-//! `mask` implementation and the refutation prover.
+//! both it, which the BLU-C `mask` implementation builds on, and full
+//! resolution closure ([`saturate`]) live here.
 
 use std::collections::BTreeSet;
 
@@ -75,7 +75,7 @@ pub fn drop_atoms(set: &ClauseSet, atoms: &BTreeSet<AtomId>) -> ClauseSet {
 }
 
 /// Saturates `set` under resolution on all atoms, up to subsumption.
-/// Used by the refutation-based consistency check and by tests; worst-case
+/// `Φ` is inconsistent iff the result holds the empty clause. Worst-case
 /// exponential, as the paper's complexity discussion (§2.3.6) warns.
 ///
 /// The fixpoint is canonical — the subsumption-minimal elements of the
@@ -100,13 +100,6 @@ pub fn saturate(set: &ClauseSet) -> ClauseSet {
     };
     sp.attr("clauses_out", out.len());
     out
-}
-
-/// Resolution-refutation consistency check: `Φ` is inconsistent iff the
-/// empty clause is derivable. Complete for propositional clause sets;
-/// prefer [`crate::dpll`] for performance.
-pub fn refutes(set: &ClauseSet) -> bool {
-    saturate(set).has_empty_clause()
 }
 
 #[cfg(test)]
@@ -173,10 +166,10 @@ mod tests {
     fn refutation_detects_inconsistency() {
         let mut t = atoms();
         let incons = parse_clause_set("{A1 | A2, !A1 | A2, A1 | !A2, !A1 | !A2}", &mut t).unwrap();
-        assert!(refutes(&incons));
+        assert!(saturate(&incons).has_empty_clause());
         let cons = parse_clause_set("{A1 | A2, !A1 | A3}", &mut t).unwrap();
         assert!(!cons.has_empty_clause());
-        assert!(!refutes(&cons));
+        assert!(!saturate(&cons).has_empty_clause());
     }
 
     #[test]

@@ -97,20 +97,6 @@ impl Assignment {
         }
     }
 
-    /// Returns a copy with the value of `atom` flipped.
-    ///
-    /// Flipping is the fundamental operation behind the semantic
-    /// characterization of `Dep` (§1.1) and of simple masks (§1.5): a set
-    /// of worlds is independent of `A` iff it is closed under `flip(A)`.
-    #[inline]
-    pub fn flip(self, atom: AtomId) -> Self {
-        debug_assert!(atom.index() < self.len());
-        Assignment {
-            bits: self.bits ^ (1u64 << atom.0),
-            n: self.n,
-        }
-    }
-
     /// Whether the assignment satisfies `lit`.
     #[inline]
     pub fn satisfies(self, lit: Literal) -> bool {
@@ -176,9 +162,9 @@ mod tests {
         assert!(!s.get(AtomId(2)));
         let s = s.with(AtomId(2), true);
         assert!(s.get(AtomId(2)));
-        let s = s.flip(AtomId(2));
+        let s = s.with(AtomId(2), false);
         assert!(!s.get(AtomId(2)));
-        let s = s.flip(AtomId(0));
+        let s = s.with(AtomId(0), true);
         assert_eq!(s.bits(), 0b0001);
     }
 

@@ -486,6 +486,30 @@ mod tests {
     }
 
     #[test]
+    fn dep_of_disjunction_is_both_atoms() {
+        // The running example: Dep[Mod[{A1 ∨ A2}]] = {A1, A2} (§1.4.6).
+        let mut t = AtomTable::with_indexed_atoms(3);
+        let w = parse_wff("A1 | A2", &mut t).unwrap();
+        assert_eq!(WorldSet::from_wff(3, &w).dep(), vec![AtomId(0), AtomId(1)]);
+    }
+
+    #[test]
+    fn dep_of_tautology_is_empty() {
+        // Remark 1.4.7: A1 ∨ ¬A1 depends on nothing.
+        let mut t = AtomTable::with_indexed_atoms(2);
+        let w = parse_wff("A1 | !A1", &mut t).unwrap();
+        assert!(WorldSet::from_wff(2, &w).dep().is_empty());
+    }
+
+    #[test]
+    fn dep_sees_through_syntax() {
+        // (A1 & A2) | (A1 & !A2) mentions A2 but depends only on A1.
+        let mut t = AtomTable::with_indexed_atoms(2);
+        let w = parse_wff("(A1 & A2) | (A1 & !A2)", &mut t).unwrap();
+        assert_eq!(WorldSet::from_wff(2, &w).dep(), vec![AtomId(0)]);
+    }
+
+    #[test]
     fn saturate_forgets_information() {
         let mut t = AtomTable::with_indexed_atoms(2);
         let cs = parse_clause_set("{A1, A2}", &mut t).unwrap();

@@ -8,7 +8,7 @@
 //! `shipped`, `flagged`. Business rules: shipping requires payment, and
 //! payment requires an order. Each update must keep the state
 //! consistent (the §1.3.3 rejection discipline); the
-//! auditor watches `world_count` — the number of possible worlds — shrink
+//! auditor watches `try_world_count` — the number of possible worlds — shrink
 //! as evidence accumulates.
 
 use pwdb::hlu::{HluProgram, InstanceDatabase};
@@ -33,12 +33,15 @@ fn main() {
     let unlimited = Limits::unlimited();
     println!(
         "fresh ledger: {} possible world(s) under the business rules",
-        db.world_count(n)
+        db.try_world_count(n).unwrap()
     );
 
     // Evidence 1: the order exists.
     db.insert(wff("ordered", &mut atoms));
-    println!("after insert(ordered):      {} worlds", db.world_count(n));
+    println!(
+        "after insert(ordered):      {} worlds",
+        db.try_world_count(n).unwrap()
+    );
 
     // Evidence 2, as a bundle: a shipment notice arrives, but the
     // operator bundles it with a bogus "not paid" assertion — the bundle
@@ -55,7 +58,7 @@ fn main() {
     }
     println!(
         "bundled (shipped, !paid):   committed = {committed}, {} worlds (rolled back)",
-        db.world_count(n)
+        db.try_world_count(n).unwrap()
     );
     assert!(!committed);
 
@@ -63,7 +66,10 @@ fn main() {
     // forces paid forces ordered.
     db.run_governed(&HluProgram::Insert(wff("shipped", &mut atoms)), &unlimited)
         .expect("consistent update");
-    println!("after insert(shipped):      {} worlds", db.world_count(n));
+    println!(
+        "after insert(shipped):      {} worlds",
+        db.try_world_count(n).unwrap()
+    );
     assert!(db.is_certain(&wff("paid & ordered", &mut atoms)));
 
     // A direct contradiction is rejected outright.
@@ -76,7 +82,7 @@ fn main() {
     assert!(db.is_possible(&flagged) && !db.is_certain(&flagged));
     println!(
         "final: {} worlds; flagged possible={}, certain={}",
-        db.world_count(n),
+        db.try_world_count(n).unwrap(),
         db.is_possible(&flagged),
         db.is_certain(&flagged)
     );
@@ -86,8 +92,14 @@ fn main() {
         .with_constraints(wff("(shipped -> paid) & (paid -> ordered)", &mut atoms));
     clausal.insert(wff("ordered", &mut atoms));
     clausal.insert(wff("shipped", &mut atoms));
-    assert_eq!(clausal.world_count(n), db.world_count(n));
-    println!("clausal engine agrees: {} worlds", clausal.world_count(n));
+    assert_eq!(
+        clausal.try_world_count(n).unwrap(),
+        db.try_world_count(n).unwrap()
+    );
+    println!(
+        "clausal engine agrees: {} worlds",
+        clausal.try_world_count(n).unwrap()
+    );
 
     // The audit trail itself: every statement that actually committed, in
     // order. The rejected assert and the rolled-back bundle are

@@ -4,12 +4,12 @@
 #   scripts/perf_pairs.sh <parent-rev> <workload> <seed> <pairs> [seconds]
 #
 # Extracts <parent-rev> (with `git archive`) under target/perf-pairs/,
-# builds its perfbench and the working tree's (release, offline), then
-# runs <pairs> alternating parent/change `--trace 0` runs of <seconds>
-# (default 30) each. Prints each run's end-to-end JSON line and its
-# machine-speed probe line, then per metric the median of each side and
-# the change/parent ratio. Exits
-# non-zero if a run fails or any run reports "correct": false.
+# builds its perfbench and the working tree's (release, offline; see
+# perf_common.sh), then runs <pairs> alternating parent/change
+# `--trace 0` runs of <seconds> (default 30) each. Prints each run's
+# end-to-end JSON line and its machine-speed probe line, then per metric
+# the median of each side and the change/parent ratio. Exits non-zero if
+# a run fails or any run reports "correct": false.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -18,20 +18,8 @@ if [ $# -lt 4 ] || [ $# -gt 5 ]; then
 fi
 rev=$1 workload=$2 seed=$3 pairs=$4 seconds=${5:-30}
 
-root=$(git rev-parse --show-toplevel)
-sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
-base="$root/target/perf-pairs"
-parent="$base/$sha"
-if [ ! -f "$parent/perfbench/Cargo.toml" ]; then
-    rm -rf "$parent.tmp"
-    mkdir -p "$parent.tmp"
-    git -C "$root" archive "$sha" | tar -x -C "$parent.tmp"
-    mv "$parent.tmp" "$parent"
-fi
-for dir in "$parent" "$root"; do
-    cargo build --release --offline --quiet \
-        --manifest-path "$dir/perfbench/Cargo.toml" --target-dir "$dir/perfbench/target"
-done
+. "$(dirname "$0")/perf_common.sh"
+extract_and_build "$rev"
 
 # perfbench writes below `.perfbench/` in its working directory.
 run_dir="$base/run"

@@ -87,11 +87,3 @@ fn packed_assignments_cover_the_full_64_atom_word() {
     let b = Assignment::try_from_bits(1u64 << 63, 63).unwrap();
     assert_eq!(b.bits(), 0, "bits beyond a 63-atom universe are cleared");
 }
-
-#[test]
-#[should_panic(expected = "use try_count_models")]
-fn lossy_u64_count_panics_instead_of_wrapping_at_64_atoms() {
-    // 2^64 worlds does not fit the legacy u64 return type; the message
-    // points at the checked API instead of wrapping to 0.
-    let _ = pwdb::logic::count_models(&ClauseSet::new(), 64);
-}

@@ -10,7 +10,8 @@
 //! durable commit, one snapshot write per checkpoint, a replay count
 //! equal to the log suffix recovery re-applied, and one degraded-mode
 //! entry per outage. `genmask` keeps no state: a repeated call on one
-//! input does the same work and charges the same steps as the first.
+//! input does the same work and charges the same steps as the first. A
+//! world count moves the counting counter and no `logic.dpll.*` one.
 
 use pwdb::blu::{BluClausal, BluSemantics, GenmaskStrategy};
 use pwdb::hlu::{ClausalDatabase, GovernedError, HluProgram, InstanceDatabase};
@@ -18,6 +19,7 @@ use pwdb::logic::{
     govern, governor, parse_clause_set, AtomTable, Budget, ExecError, Limits, Rng, Wff,
 };
 use pwdb::store::{RetryPolicy, TestDir, WriteFaultKind, WriteFaults};
+use pwdb::worlds::WorldSet;
 use pwdb_suite::testgen;
 
 const STATEMENTS: usize = 64;
@@ -138,6 +140,17 @@ fn counters_match_the_work_done() {
     }
     assert_eq!(hits + solves, asked);
     assert!(hits > 0 && solves > 0, "{hits} hits, {solves} solves");
+
+    // A world count runs the solver's counting search: it bumps
+    // `logic.counting.recursive_calls` and none of `logic.dpll.*`.
+    let before = pwdb_metrics::snapshot();
+    let count = db.try_world_count(4).unwrap();
+    let d = pwdb_metrics::snapshot().delta(&before);
+    assert_eq!(count, WorldSet::from_clauses(4, db.state()).len() as u128);
+    assert!(d.counter("logic.counting.recursive_calls") > 0);
+    for name in ["solves", "decisions", "propagations", "conflicts"] {
+        assert_eq!(d.counter(&format!("logic.dpll.{name}")), 0, "{name}");
+    }
 
     // Each governed statement lands in exactly one outcome counter.
     let generous = Limits::budget(Budget::steps(u64::MAX / 2));
